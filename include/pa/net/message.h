@@ -6,7 +6,7 @@
 /// The P* model (paper Sec. IV-A, ref [6]) defines the manager and agents
 /// as distinct components joined by an explicit coordination channel; this
 /// header is that channel's vocabulary. Every message payload starts with
-/// a versioned header
+/// a header
 ///
 ///     u8 version | u8 type | u16 reserved | u64 seq | str pilot_id
 ///
@@ -16,34 +16,30 @@
 /// sender, strictly increasing, so receivers can spot reordering or loss
 /// across a reconnect.
 ///
-/// Message flow:
+/// There is one protocol version. Manager and agents are built from one
+/// tree, so the encoder always writes kProtocolVersion and the decoder
+/// rejects any other header byte with a pa::Error naming both versions;
+/// there is no negotiation and no down-level body layout.
 ///
-///     manager ──kStartPilot──▶ agent      (after the agent's kHello)
-///     manager ◀─kPilotActive── agent      (allocation up, cores + site)
-///     manager ──kExecuteUnit─▶ agent
-///     manager ◀──kUnitDone──── agent
-///     manager ──kHeartbeat───▶ agent
-///     manager ◀─kHeartbeatAck─ agent      (echoes the probe timestamp)
-///     manager ──kShutdown────▶ agent      (cancel / drain)
-///     manager ◀kPilotTerminated agent     (walltime end, agent failure)
+/// Control and unit flow (units always travel in bulk, after
+/// RADICAL-Pilot's bulk dispatch; a lone unit is a batch of one):
 ///
-/// Version 2 adds the bulk path (P* coordination cost amortized across
-/// units, after RADICAL-Pilot's bulk dispatch):
+///     agent   ──kHello────────▶ manager  (pilot id + peer dial address)
+///     manager ──kStartPilot───▶ agent    (description + fleet token key)
+///     manager ◀─kPilotActive─── agent    (allocation up, cores + site)
+///     manager ──kUnitBatch────▶ agent    (vector of units, agent
+///                                         late-binds them to cores)
+///     manager ◀─kUnitDoneBatch─ agent    (vector of completions plus the
+///                                         agent's remaining headroom)
+///     manager ──kHeartbeat────▶ agent
+///     manager ◀─kHeartbeatAck── agent    (echoes the probe timestamp)
+///     manager ──kShutdown─────▶ agent    (cancel / drain)
+///     manager ◀kPilotTerminated agent    (walltime end, agent failure)
 ///
-///     manager ──kUnitBatch───▶ agent      (vector of units, agent
-///                                          late-binds them to cores)
-///     manager ◀kUnitDoneBatch─ agent      (vector of completions plus the
-///                                          agent's remaining headroom)
-///
-/// Negotiation: the agent's kHello carries the agent's newest version in
-/// the header; both sides then speak min(own, peer). Batch types are only
-/// legal at version >= 2 — encoding or decoding them at version 1 is a
-/// clean pa::Error, never a decoder latch, so a v2 frame reaching a v1
-/// peer produces a protocol-version rejection rather than stream corruption.
-///
-/// Version 3 adds the data plane (pa::store, Pilot-Data as a first-class
-/// citizen): content-addressed objects travel as chunked frames so a large
-/// stage-in never head-of-line-blocks heartbeats on the same connection.
+/// Data plane, manager star (pa::store, Pilot-Data as a first-class
+/// citizen): content-addressed objects travel as chunked frames so a
+/// large stage-in never head-of-line-blocks heartbeats on the same
+/// connection.
 ///
 ///     manager ──kObjPut────▶ agent    (one chunk; agent assembles, CRC-
 ///                                      verifies, stores in its shard)
@@ -52,13 +48,10 @@
 ///     manager ◀──kObjChunk── agent    (one chunk back; chunk_count = 0
 ///                                      means the shard no longer holds it)
 ///
-/// Object types are only legal at version >= 3, gated exactly like the
-/// batch types.
-///
-/// Version 4 breaks the P* star for bulk data: the manager stays the
-/// placement/directory authority but stops relaying chunks. Instead it
-/// mints signed, expiring transfer tokens and agents move the bytes over
-/// a peer channel (each agent publishes a dial address in its kHello):
+/// Data plane, peer transfers: the manager stays the placement/directory
+/// authority but stops relaying chunks. Instead it mints signed,
+/// expiring transfer tokens and agents move the bytes over a peer
+/// channel (each agent publishes a dial address in its kHello):
 ///
 ///     manager ──kXferToken──▶ dest      (signed grant: object, source,
 ///                                        chunk range, deadline, nonce)
@@ -71,9 +64,7 @@
 ///
 /// A kXferToken with success = false is a revocation notice sent to the
 /// *source*: the nonce is dead (expiry, dest death) and any replay of it
-/// must be rejected. Peer types are only legal at version >= 4; a v3
-/// fleet never sees them and its kHello stays byte-for-byte unchanged
-/// (the dial address is appended only when the header says v4+).
+/// must be rejected.
 
 #include <cstdint>
 #include <string>
@@ -83,46 +74,32 @@
 
 namespace pa::net {
 
-/// Newest protocol version this build speaks. Bump on any change to the
-/// header or a body layout; receivers reject versions outside
-/// [kMinProtocolVersion, kProtocolVersion].
-inline constexpr std::uint8_t kProtocolVersion = 4;
+/// The protocol version this build speaks — the only one it accepts.
+/// Bump on any change to the header, a body layout or the type table.
+inline constexpr std::uint8_t kProtocolVersion = 5;
 
-/// Oldest version still decodable. Version 1/2 bodies are unchanged
-/// byte-for-byte under version 3; batch types arrived in 2, object
-/// (store) types in 3, peer-transfer types in 4.
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
-
-/// Values are stable wire identifiers — append only.
+/// Values are wire identifiers; changing the table bumps kProtocolVersion.
 enum class MessageType : std::uint8_t {
-  kHello = 1,            ///< agent -> manager: announces pilot_id on connect
+  kHello = 1,            ///< agent -> manager: pilot_id + peer dial address
   kStartPilot = 2,       ///< manager -> agent: pilot description
   kPilotActive = 3,      ///< agent -> manager: allocation up (cores, site)
   kPilotTerminated = 4,  ///< agent -> manager: final pilot state
-  kExecuteUnit = 5,      ///< manager -> agent: run a unit
-  kUnitDone = 6,         ///< agent -> manager: unit completion
-  kHeartbeat = 7,        ///< manager -> agent: liveness probe (timestamp)
-  kHeartbeatAck = 8,     ///< agent -> manager: echo of the probe
-  kShutdown = 9,         ///< manager -> agent: cancel pilot, close down
-  kUnitBatch = 10,       ///< manager -> agent: bulk unit dispatch (v2+)
-  kUnitDoneBatch = 11,   ///< agent -> manager: bulk completions + window (v2+)
-  kObjPut = 12,          ///< manager -> agent: one object chunk to store (v3+)
-  kObjGet = 13,          ///< manager -> agent: request an object (v3+)
-  kObjChunk = 14,        ///< agent -> manager: one object chunk back (v3+)
-  kObjLocate = 15,       ///< agent -> manager: replica announce/NACK (v3+)
-  kXferToken = 16,       ///< manager -> agent: transfer grant / revoke (v4+)
-  kPeerOffer = 17,       ///< dest -> source: present a token peer-to-peer (v4+)
-  kPeerChunk = 18,       ///< source -> dest: token-validated chunk (v4+)
-  kPeerDone = 19,        ///< dest -> manager: peer transfer outcome (v4+)
+  kHeartbeat = 5,        ///< manager -> agent: liveness probe (timestamp)
+  kHeartbeatAck = 6,     ///< agent -> manager: echo of the probe
+  kShutdown = 7,         ///< manager -> agent: cancel pilot, close down
+  kUnitBatch = 8,        ///< manager -> agent: bulk unit dispatch
+  kUnitDoneBatch = 9,    ///< agent -> manager: bulk completions + window
+  kObjPut = 10,          ///< manager -> agent: one object chunk to store
+  kObjGet = 11,          ///< manager -> agent: request an object
+  kObjChunk = 12,        ///< agent -> manager: one object chunk back
+  kObjLocate = 13,       ///< agent -> manager: replica announce/NACK
+  kXferToken = 14,       ///< manager -> agent: transfer grant / revoke
+  kPeerOffer = 15,       ///< dest -> source: present a token peer-to-peer
+  kPeerChunk = 16,       ///< source -> dest: token-validated chunk
+  kPeerDone = 17,        ///< dest -> manager: peer transfer outcome
 };
 
 const char* to_string(MessageType t);
-
-/// True for the v4 peer-transfer family (kXferToken, kPeerOffer,
-/// kPeerChunk, kPeerDone); the codec refuses to encode or decode these
-/// on streams that negotiated < 4, and senders use the same predicate to
-/// gate what they enqueue for down-level peers.
-bool is_peer_type(MessageType t);
 
 /// Serializable subset of core::ComputeUnitDescription. The `work`
 /// closure cannot cross a wire; agents resolve the payload by unit id
@@ -156,10 +133,6 @@ struct WireUnitDone {
 /// round-trip tests, which compare decoded against freshly-made values).
 struct Message {
   MessageType type = MessageType::kHeartbeat;
-  /// Header version to encode with / decoded from the header. Senders set
-  /// this to the negotiated min(own, peer) version; batch types require
-  /// version >= 2 at both encode and decode.
-  std::uint8_t version = kProtocolVersion;
   std::uint64_t seq = 0;
   std::string pilot_id;
 
@@ -178,26 +151,19 @@ struct Message {
   // kPilotTerminated
   core::PilotState pilot_state = core::PilotState::kNew;
 
-  // kExecuteUnit
-  WireUnitDescription unit;
-
-  // kUnitDone
-  std::string unit_id;
-  bool success = false;
-
   // kHeartbeat / kHeartbeatAck
   double timestamp = 0.0;
 
-  // kUnitBatch (v2+)
+  // kUnitBatch
   std::vector<WireUnitDescription> units;
 
-  // kUnitDoneBatch (v2+): completions plus the agent's scheduling window —
+  // kUnitDoneBatch: completions plus the agent's scheduling window —
   // how many more units the agent can queue (local-queue capacity minus
   // queued and running). The manager sizes the next kUnitBatch to it.
   std::vector<WireUnitDone> completions;
   std::int32_t window = 0;
 
-  // kObjPut / kObjChunk (v3+): one chunk of a content-addressed object.
+  // kObjPut / kObjChunk: one chunk of a content-addressed object.
   // `transfer_id` correlates every chunk of one transfer (and the kObjGet
   // that requested it); `chunk_count` in a kObjChunk of 0 is the
   // not-found reply. `chunk_crc` is the CRC32 of `chunk_data`, computed
@@ -207,7 +173,8 @@ struct Message {
   // kObjGet carries object_id + transfer_id only; kObjLocate carries
   // object_id, object_bytes, `success` (false = NACK: store failed or the
   // shard evicted/dropped the object) and `sites` (holders known to the
-  // sender; empty in agent announcements).
+  // sender; empty in agent announcements). kXferToken and kPeerDone use
+  // `success` too (see below).
   std::string object_id;
   std::uint64_t transfer_id = 0;
   std::uint32_t chunk_index = 0;
@@ -215,18 +182,19 @@ struct Message {
   std::uint64_t object_bytes = 0;
   std::uint32_t chunk_crc = 0;
   std::string chunk_data;
+  bool success = false;
   std::vector<std::string> sites;
 
-  // kHello (v4+ only): the dial address of the agent's peer listener,
-  // empty when the agent cannot serve peer transfers. Also rides in a
-  // kXferToken grant as the *source's* dial address. v3 frames omit it.
+  // kHello: the dial address of the agent's peer listener, empty when
+  // its listener could not bind (the manager then keeps the pilot on the
+  // star). Also rides in a kXferToken grant as the *source's* address.
   std::string peer_endpoint;
 
-  // kStartPilot (v4+ only): the fleet's shared token-MAC secret, handed
-  // to each agent once so sources can validate grants offline.
+  // kStartPilot: the fleet's shared token-MAC secret, handed to each
+  // agent once so sources can validate grants offline.
   std::string token_key;
 
-  // kXferToken / kPeerOffer (v4+): the signed transfer grant. The token
+  // kXferToken / kPeerOffer: the signed transfer grant. The token
   // covers {object_id, transfer_id, object_bytes, source_pilot,
   // dest_pilot, chunk_begin..chunk_end, deadline, nonce} under `mac`
   // (keyed FNV over the fleet secret). `deadline` is absolute wall
@@ -249,12 +217,11 @@ std::string encode_message(const Message& message);
 
 /// Appends the serialized body to `out` without clearing it — the
 /// zero-copy arena path. Pair with wire.h begin_frame/end_frame to build
-/// framed messages in place. Throws pa::Error when `message.version` is
-/// outside the supported range or too old for the message type.
+/// framed messages in place.
 void encode_message_into(std::string& out, const Message& message);
 
 /// Parses a message body; throws pa::Error on malformed input, unknown
-/// type, or unsupported version.
+/// type, or a header version other than kProtocolVersion.
 Message decode_message(const char* data, std::size_t size);
 
 /// Convenience: encode_message + append_frame (wire.h framing).

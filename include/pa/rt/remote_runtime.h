@@ -12,10 +12,10 @@
 ///
 ///     PilotComputeService
 ///            │ core::Runtime
-///     RemoteRuntime (manager)      AgentEndpoint (one per pilot)
-///            │ kStartPilot/kExecuteUnit ──▶ │
-///            │ ◀── kPilotActive/kUnitDone  │ LocalRuntime (pool)
-///            └───── net::Transport ────────┘
+///     RemoteRuntime (manager)          AgentEndpoint (one per pilot)
+///            │ kStartPilot/kUnitBatch ──────▶ │
+///            │ ◀── kPilotActive/kUnitDoneBatch │ LocalRuntime (pool)
+///            └─────── net::Transport ─────────┘
 ///
 /// Liveness: the manager heartbeats every agent; an agent that misses
 /// `heartbeat_miss_limit` consecutive intervals is declared dead and its
@@ -83,15 +83,12 @@ struct AgentEndpointConfig {
   /// to cover the wire round-trip, so the agent keeps several batches of
   /// queued work per slot.
   int queue_factor = 16;
-  /// Completion-outbox flusher (group-commit batching of kUnitDone).
+  /// Completion-outbox flusher (group-commit batching of completions
+  /// into kUnitDoneBatch frames).
   net::BatchFlusherConfig flusher;
   /// Optional: exports net.batch_size / flush-reason counters plus
   /// net.agent_send_rejected. Must outlive the endpoint.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Highest protocol version this agent speaks — test hook for
-  /// mixed-version deployments (1 = pre-batch peer; the manager then
-  /// falls back to per-unit kExecuteUnit).
-  std::uint8_t wire_version = net::kProtocolVersion;
   /// The pilot's store shard (pa::store data plane). Give it a
   /// memory_capacity_bytes / spill_dir to exercise the LRU tier; the
   /// defaults hold everything in memory.
@@ -112,17 +109,16 @@ struct AgentEndpointConfig {
 /// and — unlike the old fire-and-forget send — retries frames the
 /// transport rejects under backpressure.
 ///
-/// Peer channel (v4): when the agent speaks protocol >= 4 it also
-/// listens on its own endpoint and publishes the resolved address in
-/// kHello. The manager brokers bulk replication by minting signed
-/// transfer tokens (kXferToken) instead of pumping chunks itself: the
-/// destination agent dials the named source lazily, presents the token
-/// (kPeerOffer), and the source streams kPeerChunk frames directly —
-/// object bytes never touch the manager. Each peer connection gets its
-/// own BatchFlusher so a slow peer backpressures only its own stream.
-/// A failed dial (or a listener that could not bind) degrades to the
-/// v3 manager star via kPeerDone{success=false}; v3 fleets never see
-/// any of this.
+/// Peer channel: every agent also listens on its own endpoint and
+/// publishes the resolved address in kHello. The manager brokers bulk
+/// replication by minting signed transfer tokens (kXferToken) instead of
+/// pumping chunks itself: the destination agent dials the named source
+/// lazily, presents the token (kPeerOffer), and the source streams
+/// kPeerChunk frames directly — object bytes never touch the manager.
+/// Each peer connection gets its own BatchFlusher so a slow peer
+/// backpressures only its own stream. A failed dial degrades to the
+/// manager star via kPeerDone{success=false}; a listener that could not
+/// bind publishes "" and the manager never names this pilot as a source.
 class AgentEndpoint {
  public:
   /// Connects immediately; throws pa::Error when the manager endpoint is
@@ -154,8 +150,8 @@ class AgentEndpoint {
   store::StoreAgent& store() { return store_; }
 
   /// Resolved peer-listener address published in kHello ("" when the
-  /// agent speaks < v4 or the listener failed to bind — the manager then
-  /// never grants peer transfers sourced from this pilot).
+  /// listener failed to bind — the manager then never grants peer
+  /// transfers sourced from this pilot).
   const std::string& peer_endpoint() const { return peer_endpoint_; }
 
   /// Snapshot of the late-binding scheduler (telemetry / debugging).
@@ -194,7 +190,7 @@ class AgentEndpoint {
   };
 
   void handle_message(const std::string& payload);
-  /// Binds the v4 peer listener and records its resolved address; a bind
+  /// Binds the peer listener and records its resolved address; a bind
   /// failure leaves peer_endpoint_ empty (star fallback) instead of
   /// failing the agent.
   void setup_peer_listener(net::Transport& transport,
@@ -221,14 +217,17 @@ class AgentEndpoint {
   void pump();
   void dispatch(net::WireUnitDescription unit);
   void complete(const std::string& unit_id, bool success);
-  /// Outbox sink: arena-encodes a batch (merging kUnitDone runs into
-  /// kUnitDoneBatch when the peer speaks v2) and gathers it into the
+  /// Outbox sink: arena-encodes a batch (merging runs of one-completion
+  /// kUnitDoneBatch items into one frame) and gathers it into the
   /// transport. Returns what the transport rejected, for retry.
   std::vector<net::Message> ship(std::vector<net::Message> batch,
                                  net::FlushReason reason);
   /// Bypasses the outbox (heartbeat acks: batching them would inflate the
   /// manager's RTT histogram, and losing one is harmless).
   void send_direct(net::Message message);
+  /// Headroom advertised to the manager: max(slots, 1) × queue_factor
+  /// minus queued and running units, floored at 0.
+  std::int32_t window_locked() const PA_REQUIRES(sched_mu_);
   std::int32_t window();
 
   const std::string pilot_id_;
@@ -253,8 +252,6 @@ class AgentEndpoint {
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};  ///< set by ~AgentEndpoint
   std::atomic<std::uint64_t> seq_{0};
-  /// min(own, manager) protocol version, learned from message headers.
-  std::atomic<std::uint8_t> peer_version_;
   /// Max completions merged per kUnitDoneBatch frame; halves on transport
   /// reject (so frames shrink until they fit the send queue), doubles on
   /// success up to the flusher's max_batch.
@@ -306,8 +303,8 @@ struct RemoteRuntimeConfig {
   /// to keep agent queues fed (the agent still binds to real cores; the
   /// factor only deepens the dispatch pipeline the batches draw from).
   int dispatch_window_factor = 4;
-  /// Unit-dispatch flusher (group-commit batching of kExecuteUnit into
-  /// kUnitBatch frames).
+  /// Unit-dispatch flusher (group-commit batching of one-unit kUnitBatch
+  /// items into window-sized kUnitBatch frames).
   net::BatchFlusherConfig flusher;
   /// Required: how pilots become agents.
   AgentLauncher launcher;
@@ -334,10 +331,9 @@ class RemoteRuntime : public core::Runtime {
   const std::shared_ptr<PayloadTable>& payloads() const { return payloads_; }
 
   /// Wires the data plane: the store's egress goes through our
-  /// connections (version-gated: pilots that negotiated protocol < 3 are
-  /// reported kGone, and peer-transfer frames additionally require >= 4),
-  /// inbound kObjLocate/kObjChunk/kPeerDone are forwarded to the store,
-  /// pilot lifecycle (active/lost) feeds its membership — including each
+  /// connections (an unknown or dead pilot is reported kGone), inbound
+  /// kObjLocate/kObjChunk/kPeerDone are forwarded to the store, pilot
+  /// lifecycle (active/lost) feeds its membership — including each
   /// agent's published peer dial address — the heartbeat loop drives the
   /// store's token-expiry tick, and unit dispatch prefetches declared
   /// input objects onto the target pilot.
@@ -370,11 +366,9 @@ class RemoteRuntime : public core::Runtime {
     double last_alive = 0.0;  ///< runtime-clock time of last sign of life
     std::uint64_t hello_count = 0;  ///< re-hellos = agent reconnects
     std::uint64_t seq = 0;
-    /// min(own, agent) protocol version from the agent's kHello header.
-    std::uint8_t peer_version = net::kProtocolVersion;
-    /// The agent's published peer-listener address from its v4 kHello
-    /// ("" for v3 agents); handed to the store so grants can name this
-    /// pilot as a transfer source.
+    /// The agent's published peer-listener address from its kHello ("" if
+    /// its listener failed to bind); handed to the store so grants can
+    /// name this pilot as a transfer source.
     std::string peer_endpoint;
     /// Dispatch credits: how many more units the agent can absorb.
     /// Seeded at kPilotActive (cores × dispatch_window_factor), debited
@@ -391,11 +385,11 @@ class RemoteRuntime : public core::Runtime {
                       const std::string& payload);
   void heartbeat_loop();
   bool send_on(const net::ConnectionPtr& conn, net::Message message);
-  /// Dispatch sink: groups queued kExecuteUnit messages by pilot,
-  /// arena-encodes them as kUnitBatch (or per-unit frames for v1 peers)
-  /// sized to min(window, flush_cap), and gathers them into the agent's
-  /// connection. Returns what could not ship yet (no connection, no
-  /// window, transport reject) for retry.
+  /// Dispatch sink: groups queued one-unit kUnitBatch items by pilot,
+  /// merges them into one kUnitBatch frame sized to min(window,
+  /// flush_cap), and sends it on the agent's connection. Returns what
+  /// could not ship yet (no connection, no window, transport reject) for
+  /// retry.
   std::vector<net::Message> dispatch(std::vector<net::Message> batch,
                                      net::FlushReason reason);
 

@@ -2,8 +2,8 @@
 /// \file token.h
 /// \brief Signed, expiring transfer grants for the brokered data plane.
 ///
-/// The manager is the sole placement authority but (v4) no longer relays
-/// bytes: it mints a TransferToken naming exactly one transfer — object,
+/// The manager is the sole placement authority but no longer relays
+/// bulk bytes: it mints a TransferToken naming exactly one transfer — object,
 /// source, dest, chunk range, absolute deadline, single-use nonce — MACs
 /// it under a fleet-wide secret, and hands it to the *destination* pilot
 /// (kXferToken). The dest presents the token to the source over the peer

@@ -8,6 +8,12 @@
 /// (range assignment), each partition belongs to exactly one member per
 /// generation, and committed offsets survive rebalances — so every message
 /// is delivered to the group at least once and per-partition order holds.
+///
+/// Handoff: a rebalance only *assigns* a partition. The member that read
+/// it last still holds it — possibly with a polled, uncommitted batch in
+/// hand — until its next poll() releases it; only then may the new owner
+/// claim it and resume from the committed offset. Without that step the
+/// new owner re-reads whatever the old owner was still processing.
 
 #include <cstdint>
 #include <map>
@@ -23,11 +29,9 @@ namespace pa::stream {
 /// Tracks group membership, assignments, and committed offsets.
 class GroupCoordinator {
  public:
-  /// One member's coherent view of its group, taken under a single lock:
-  /// the generation, the partitions assigned to the member in that
-  /// generation, and the committed offset of each assigned partition.
+  /// One member's fetchable partitions and the committed offset of each,
+  /// taken under a single lock.
   struct MemberView {
-    std::uint64_t generation = 0;
     std::vector<int> partitions;
     std::map<int, std::uint64_t> committed;  ///< keyed by partition
   };
@@ -37,7 +41,8 @@ class GroupCoordinator {
   /// Adds a member; triggers a rebalance (generation bump).
   void join(const std::string& topic, const std::string& group,
             const std::string& member_id) PA_EXCLUDES(mutex_);
-  /// Removes a member; triggers a rebalance.
+  /// Removes a member, releasing every partition it holds; triggers a
+  /// rebalance.
   void leave(const std::string& topic, const std::string& group,
              const std::string& member_id) PA_EXCLUDES(mutex_);
 
@@ -52,14 +57,13 @@ class GroupCoordinator {
                               const std::string& member_id) const
       PA_EXCLUDES(mutex_);
 
-  /// Atomic generation + assignment + committed-offsets snapshot for one
-  /// member. Consumers must use this (not generation()/assignment()
-  /// separately) when refreshing: reading the pieces under different lock
-  /// acquisitions can pair generation N with the assignment of N+1 when a
-  /// rebalance lands between the calls.
-  MemberView member_view(const std::string& topic, const std::string& group,
-                         const std::string& member_id) const
-      PA_EXCLUDES(mutex_);
+  /// The handoff step, called by a member from each poll(): releases the
+  /// partitions it holds but is no longer assigned, claims the assigned
+  /// partitions no other member still holds, and returns the claimed set
+  /// with committed offsets. An assigned partition its previous holder
+  /// has not released yet is left out until a later call.
+  MemberView sync_member(const std::string& topic, const std::string& group,
+                         const std::string& member_id) PA_EXCLUDES(mutex_);
 
   /// Committed offset for a partition (0 if never committed).
   std::uint64_t committed(const std::string& topic, const std::string& group,
@@ -78,6 +82,8 @@ class GroupCoordinator {
     std::set<std::string> members;
     std::map<std::string, std::vector<int>> assignments;
     std::map<int, std::uint64_t> committed;
+    /// partition -> member that claimed it and has not released it.
+    std::map<int, std::string> holders;
   };
 
   using GroupKey = std::pair<std::string, std::string>;
@@ -106,13 +112,18 @@ class Consumer {
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
 
-  /// Fetches up to `max_messages` from assigned partitions (round-robin
-  /// across them). Refreshes the assignment when the generation moved.
+  /// Fetches up to `max_messages` from claimed partitions (round-robin
+  /// across them). First syncs with the coordinator: partitions a
+  /// rebalance moved away are released (everything earlier polls
+  /// returned from them counts as handled; what was not committed is
+  /// redelivered to the new owner), newly assigned ones are claimed once
+  /// their previous holder released them.
   std::vector<Message> poll(std::size_t max_messages);
 
   /// Commits everything returned by previous polls.
   void commit();
 
+  /// Partitions claimed at the last poll.
   const std::vector<int>& assigned_partitions() const { return assigned_; }
   std::uint64_t messages_consumed() const { return consumed_; }
 
@@ -124,7 +135,6 @@ class Consumer {
   std::string topic_;
   std::string group_;
   std::string member_id_;
-  std::uint64_t generation_ = static_cast<std::uint64_t>(-1);
   std::vector<int> assigned_;
   std::map<int, std::uint64_t> positions_;  ///< next fetch offset
   std::size_t rr_index_ = 0;

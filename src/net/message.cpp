@@ -131,21 +131,7 @@ std::uint32_t take_batch_count(Cursor& c, std::size_t min_entry_bytes) {
   return n;
 }
 
-bool is_batch_type(MessageType t) {
-  return t == MessageType::kUnitBatch || t == MessageType::kUnitDoneBatch;
-}
-
-bool is_object_type(MessageType t) {
-  return t == MessageType::kObjPut || t == MessageType::kObjGet ||
-         t == MessageType::kObjChunk || t == MessageType::kObjLocate;
-}
-
 }  // namespace
-
-bool is_peer_type(MessageType t) {
-  return t == MessageType::kXferToken || t == MessageType::kPeerOffer ||
-         t == MessageType::kPeerChunk || t == MessageType::kPeerDone;
-}
 
 const char* to_string(MessageType t) {
   switch (t) {
@@ -157,10 +143,6 @@ const char* to_string(MessageType t) {
       return "pilot_active";
     case MessageType::kPilotTerminated:
       return "pilot_terminated";
-    case MessageType::kExecuteUnit:
-      return "execute_unit";
-    case MessageType::kUnitDone:
-      return "unit_done";
     case MessageType::kHeartbeat:
       return "heartbeat";
     case MessageType::kHeartbeatAck:
@@ -198,37 +180,14 @@ std::string encode_message(const Message& m) {
 }
 
 void encode_message_into(std::string& out, const Message& m) {
-  if (m.version < kMinProtocolVersion || m.version > kProtocolVersion) {
-    throw Error("net message encode at unsupported protocol version " +
-                std::to_string(m.version));
-  }
-  if (is_batch_type(m.type) && m.version < 2) {
-    throw Error("net message type " + std::string(to_string(m.type)) +
-                " requires protocol version 2, peer negotiated " +
-                std::to_string(m.version));
-  }
-  if (is_object_type(m.type) && m.version < 3) {
-    throw Error("net message type " + std::string(to_string(m.type)) +
-                " requires protocol version 3, peer negotiated " +
-                std::to_string(m.version));
-  }
-  if (is_peer_type(m.type) && m.version < 4) {
-    throw Error("net message type " + std::string(to_string(m.type)) +
-                " requires protocol version 4, peer negotiated " +
-                std::to_string(m.version));
-  }
-  put_u8(out, m.version);
+  put_u8(out, kProtocolVersion);
   put_u8(out, static_cast<std::uint8_t>(m.type));
   put_u16(out, 0);  // reserved
   put_u64(out, m.seq);
   put_string(out, m.pilot_id);
   switch (m.type) {
     case MessageType::kHello:
-      // v3 hellos stay header-only byte-for-byte; v4 appends the agent's
-      // peer-listener dial address (empty = cannot serve peer transfers).
-      if (m.version >= 4) {
-        put_string(out, m.peer_endpoint);
-      }
+      put_string(out, m.peer_endpoint);  // "" = cannot serve peer transfers
       break;
     case MessageType::kShutdown:
       break;  // header only
@@ -239,10 +198,7 @@ void encode_message_into(std::string& out, const Message& m) {
       put_i32(out, m.priority);
       put_f64(out, m.cost_per_core_hour);
       put_string(out, m.pilot_attributes);
-      // v4 appends the fleet's token-MAC secret for offline grant checks.
-      if (m.version >= 4) {
-        put_string(out, m.token_key);
-      }
+      put_string(out, m.token_key);
       break;
     case MessageType::kPilotActive:
       put_i32(out, m.total_cores);
@@ -250,14 +206,6 @@ void encode_message_into(std::string& out, const Message& m) {
       break;
     case MessageType::kPilotTerminated:
       put_u16(out, static_cast<std::uint16_t>(m.pilot_state));
-      break;
-    case MessageType::kExecuteUnit:
-      put_unit(out, m.unit);
-      break;
-    case MessageType::kUnitDone:
-      put_string(out, m.unit_id);
-      put_u8(out, m.success ? 1 : 0);
-      put_f64(out, m.timestamp);
       break;
     case MessageType::kHeartbeat:
     case MessageType::kHeartbeatAck:
@@ -338,44 +286,24 @@ void encode_message_into(std::string& out, const Message& m) {
 Message decode_message(const char* data, std::size_t size) {
   Cursor c{data, size};
   const auto version = c.take<std::uint8_t>();
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    throw Error("net message has unsupported protocol version " +
-                std::to_string(version));
+  if (version != kProtocolVersion) {
+    throw Error("net message has protocol version " + std::to_string(version) +
+                ", this build speaks only version " +
+                std::to_string(kProtocolVersion));
   }
   const auto type = c.take<std::uint8_t>();
   if (type < static_cast<std::uint8_t>(MessageType::kHello) ||
       type > static_cast<std::uint8_t>(MessageType::kPeerDone)) {
     throw Error("net message has unknown type " + std::to_string(type));
   }
-  if (is_batch_type(static_cast<MessageType>(type)) && version < 2) {
-    throw Error("net message type " +
-                std::string(to_string(static_cast<MessageType>(type))) +
-                " requires protocol version 2, header says " +
-                std::to_string(version));
-  }
-  if (is_object_type(static_cast<MessageType>(type)) && version < 3) {
-    throw Error("net message type " +
-                std::string(to_string(static_cast<MessageType>(type))) +
-                " requires protocol version 3, header says " +
-                std::to_string(version));
-  }
-  if (is_peer_type(static_cast<MessageType>(type)) && version < 4) {
-    throw Error("net message type " +
-                std::string(to_string(static_cast<MessageType>(type))) +
-                " requires protocol version 4, header says " +
-                std::to_string(version));
-  }
   (void)c.take<std::uint16_t>();  // reserved
   Message m;
   m.type = static_cast<MessageType>(type);
-  m.version = version;
   m.seq = c.take<std::uint64_t>();
   m.pilot_id = c.take_string();
   switch (m.type) {
     case MessageType::kHello:
-      if (m.version >= 4) {
-        m.peer_endpoint = c.take_string();
-      }
+      m.peer_endpoint = c.take_string();
       break;
     case MessageType::kShutdown:
       break;
@@ -386,9 +314,7 @@ Message decode_message(const char* data, std::size_t size) {
       m.priority = c.take<std::int32_t>();
       m.cost_per_core_hour = c.take<double>();
       m.pilot_attributes = c.take_string();
-      if (m.version >= 4) {
-        m.token_key = c.take_string();
-      }
+      m.token_key = c.take_string();
       break;
     case MessageType::kPilotActive:
       m.total_cores = c.take<std::int32_t>();
@@ -403,14 +329,6 @@ Message decode_message(const char* data, std::size_t size) {
       m.pilot_state = static_cast<core::PilotState>(state);
       break;
     }
-    case MessageType::kExecuteUnit:
-      m.unit = take_unit(c);
-      break;
-    case MessageType::kUnitDone:
-      m.unit_id = c.take_string();
-      m.success = c.take<std::uint8_t>() != 0;
-      m.timestamp = c.take<double>();
-      break;
     case MessageType::kHeartbeat:
     case MessageType::kHeartbeatAck:
       m.timestamp = c.take<double>();

@@ -55,7 +55,6 @@ AgentEndpoint::AgentEndpoint(net::Transport& transport,
       config_(std::move(config)),
       payloads_(std::move(payloads)),
       transport_(transport),
-      peer_version_(std::min(config_.wire_version, net::kProtocolVersion)),
       merge_cap_(std::max<std::size_t>(1, config_.flusher.max_batch)),
       send_rejected_counter_(
           config_.metrics != nullptr
@@ -71,9 +70,7 @@ AgentEndpoint::AgentEndpoint(net::Transport& transport,
   store_.set_identity(pilot_id_);
   // The peer listener binds BEFORE the manager connection so the very
   // first kHello already carries the resolved dial address.
-  if (std::min(config_.wire_version, net::kProtocolVersion) >= 4) {
-    setup_peer_listener(transport, endpoint);
-  }
+  setup_peer_listener(transport, endpoint);
   net::ConnectionHandlers handlers;
   handlers.on_message = [this](const std::string& payload) {
     handle_message(payload);
@@ -113,28 +110,26 @@ AgentEndpoint::~AgentEndpoint() {
   // counted there; the manager's heartbeat-deadline orphan requeue plus
   // the service's attempt tagging make that loss exactly-once safe.
   draining_.store(true);
-  if (peer_hub_ != nullptr) {
-    std::vector<std::shared_ptr<PeerChannel>> channels;
-    {
-      check::MutexLock lock(peer_hub_->mu);
-      peer_hub_->alive = false;
-      channels.reserve(peer_hub_->accepted.size() + peer_hub_->dials.size());
-      for (auto& ch : peer_hub_->accepted) {
-        channels.push_back(std::move(ch));
-      }
-      for (auto& [ep, ch] : peer_hub_->dials) {
-        channels.push_back(std::move(ch));
-      }
-      peer_hub_->accepted.clear();
-      peer_hub_->dials.clear();
+  std::vector<std::shared_ptr<PeerChannel>> channels;
+  {
+    check::MutexLock lock(peer_hub_->mu);
+    peer_hub_->alive = false;
+    channels.reserve(peer_hub_->accepted.size() + peer_hub_->dials.size());
+    for (auto& ch : peer_hub_->accepted) {
+      channels.push_back(std::move(ch));
     }
-    for (const auto& ch : channels) {
-      if (ch->out != nullptr) {
-        ch->out->close();
-      }
-      if (ch->conn != nullptr) {
-        ch->conn->close();
-      }
+    for (auto& [ep, ch] : peer_hub_->dials) {
+      channels.push_back(std::move(ch));
+    }
+    peer_hub_->accepted.clear();
+    peer_hub_->dials.clear();
+  }
+  for (const auto& ch : channels) {
+    if (ch->out != nullptr) {
+      ch->out->close();
+    }
+    if (ch->conn != nullptr) {
+      ch->conn->close();
     }
   }
   outbox_.flush();
@@ -191,9 +186,6 @@ std::unique_ptr<net::BatchFlusher> AgentEndpoint::make_peer_flusher(
                    net::FlushReason /*reason*/) -> std::vector<net::Message> {
         for (std::size_t i = 0; i < batch.size(); ++i) {
           net::Message& m = batch[i];
-          // Peer frames only exist on v4 streams; both ends published
-          // endpoints, so both negotiated >= 4.
-          m.version = net::kProtocolVersion;
           m.pilot_id = pilot_id_;
           m.seq = seq_.fetch_add(1);
           std::string frame;
@@ -311,7 +303,7 @@ void AgentEndpoint::handle_xfer_token(const net::Message& m) {
     return;  // token names someone else; ignore
   }
   bool presented = false;
-  if (!m.peer_endpoint.empty() && peer_hub_ != nullptr) {
+  if (!m.peer_endpoint.empty()) {
     try {
       if (const std::shared_ptr<PeerChannel> ch =
               peer_channel_for(m.peer_endpoint);
@@ -341,15 +333,18 @@ void AgentEndpoint::handle_xfer_token(const net::Message& m) {
   }
 }
 
-std::int32_t AgentEndpoint::window() {
-  check::MutexLock lock(sched_mu_);
+std::int32_t AgentEndpoint::window_locked() const {
   const std::int64_t capacity =
       static_cast<std::int64_t>(std::max(slots_, 1)) *
       static_cast<std::int64_t>(std::max(config_.queue_factor, 1));
-  const std::int64_t used =
-      static_cast<std::int64_t>(queue_.size()) + outstanding_;
-  const std::int64_t free = capacity - used;
+  const std::int64_t free =
+      capacity - static_cast<std::int64_t>(queue_.size()) - outstanding_;
   return free > 0 ? static_cast<std::int32_t>(free) : 0;
+}
+
+std::int32_t AgentEndpoint::window() {
+  check::MutexLock lock(sched_mu_);
+  return window_locked();
 }
 
 AgentEndpoint::SchedulerStats AgentEndpoint::scheduler_stats() const {
@@ -359,12 +354,7 @@ AgentEndpoint::SchedulerStats AgentEndpoint::scheduler_stats() const {
     s.queued = queue_.size();
     s.outstanding = static_cast<std::size_t>(outstanding_);
     s.slots = slots_;
-    const std::int64_t capacity =
-        static_cast<std::int64_t>(std::max(slots_, 1)) *
-        static_cast<std::int64_t>(std::max(config_.queue_factor, 1));
-    const std::int64_t free =
-        capacity - static_cast<std::int64_t>(queue_.size()) - outstanding_;
-    s.window = free > 0 ? static_cast<std::int32_t>(free) : 0;
+    s.window = window_locked();
   }
   s.outbox_pending = outbox_.pending();
   return s;
@@ -373,7 +363,6 @@ AgentEndpoint::SchedulerStats AgentEndpoint::scheduler_stats() const {
 void AgentEndpoint::send_direct(net::Message message) {
   // Heartbeat-ack fast path: batching acks would inflate the manager's
   // RTT histogram, and a dropped ack is harmless (the next one answers).
-  message.version = peer_version_.load();
   message.pilot_id = pilot_id_;
   message.seq = seq_.fetch_add(1);
   std::string frame;
@@ -383,25 +372,27 @@ void AgentEndpoint::send_direct(net::Message message) {
 
 std::vector<net::Message> AgentEndpoint::ship(std::vector<net::Message> batch,
                                               net::FlushReason /*reason*/) {
-  const std::uint8_t version = peer_version_.load();
+  const auto is_done = [](const net::Message& m) {
+    return m.type == net::MessageType::kUnitDoneBatch;
+  };
   std::size_t i = 0;
   while (i < batch.size()) {
     arena_.clear();
     std::uint64_t frames = 0;
     std::size_t end = i;
     const std::size_t cap = merge_cap_.load();
-    if (version >= 2 && batch[i].type == net::MessageType::kUnitDone) {
-      // Merge the run of completions into one kUnitDoneBatch frame,
-      // carrying the scheduler's current headroom for the manager's
-      // dispatch window.
+    if (is_done(batch[i])) {
+      // Merge the run of one-completion items into one kUnitDoneBatch
+      // frame, carrying the scheduler's current headroom for the
+      // manager's dispatch window.
       net::Message b;
       b.type = net::MessageType::kUnitDoneBatch;
-      b.version = version;
       b.pilot_id = pilot_id_;
       while (end < batch.size() && b.completions.size() < cap &&
-             batch[end].type == net::MessageType::kUnitDone) {
-        b.completions.push_back(net::WireUnitDone{
-            batch[end].unit_id, batch[end].success, batch[end].timestamp});
+             is_done(batch[end])) {
+        // Copied, not moved: a rejected send retains batch[i..) for retry.
+        const std::vector<net::WireUnitDone>& done = batch[end].completions;
+        b.completions.insert(b.completions.end(), done.begin(), done.end());
         ++end;
       }
       b.window = window();
@@ -409,13 +400,10 @@ std::vector<net::Message> AgentEndpoint::ship(std::vector<net::Message> batch,
       net::append_message_frame(arena_, b);
       frames = 1;
     } else {
-      // Control messages — and everything on a v1 stream — keep their own
-      // frames but still share one gather into the transport.
-      while (end < batch.size() && end - i < cap &&
-             !(version >= 2 &&
-               batch[end].type == net::MessageType::kUnitDone)) {
+      // Control and store messages keep their own frames but still share
+      // one gather into the transport.
+      while (end < batch.size() && end - i < cap && !is_done(batch[end])) {
         net::Message& m = batch[end];
-        m.version = version;
         m.pilot_id = pilot_id_;
         m.seq = seq_.fetch_add(1);
         net::append_message_frame(arena_, m);
@@ -494,10 +482,9 @@ void AgentEndpoint::dispatch(net::WireUnitDescription unit) {
 
 void AgentEndpoint::complete(const std::string& unit_id, bool success) {
   net::Message r;
-  r.type = net::MessageType::kUnitDone;
-  r.unit_id = unit_id;
-  r.success = success;
-  r.timestamp = pa::wall_seconds();
+  r.type = net::MessageType::kUnitDoneBatch;
+  r.completions.push_back(
+      net::WireUnitDone{unit_id, success, pa::wall_seconds()});
   outbox_.push(std::move(r));
   {
     check::MutexLock lock(sched_mu_);
@@ -518,15 +505,11 @@ void AgentEndpoint::handle_message(const std::string& payload) {
   if (m.pilot_id != pilot_id_) {
     return;  // not ours; a confused manager is not our problem to crash on
   }
-  // Every manager message carries the version the manager negotiated for
-  // this pilot; speak min(own, theirs) from here on.
-  peer_version_.store(
-      std::min({config_.wire_version, net::kProtocolVersion, m.version}));
   switch (m.type) {
     case net::MessageType::kStartPilot: {
       if (!m.token_key.empty()) {
-        // v4 start carries the fleet token-MAC secret; applied even on a
-        // duplicate start so a reconnect refreshes it.
+        // The fleet token-MAC secret ("" when the manager has no store);
+        // applied even on a duplicate start so a reconnect refreshes it.
         store_.set_token_key(m.token_key);
       }
       if (started_.exchange(true)) {
@@ -585,12 +568,6 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         outbox_.push(std::move(r));
         outbox_.kick();
       }
-      break;
-    }
-    case net::MessageType::kExecuteUnit: {
-      std::vector<net::WireUnitDescription> units;
-      units.push_back(std::move(m.unit));
-      enqueue_units(std::move(units));
       break;
     }
     case net::MessageType::kUnitBatch: {
@@ -717,7 +694,6 @@ RemoteRuntime::~RemoteRuntime() {
     if (entry->conn) {
       net::Message bye;
       bye.type = net::MessageType::kShutdown;
-      bye.version = entry->peer_version;
       bye.pilot_id = id;
       bye.seq = entry->seq++;
       send_on(entry->conn, std::move(bye));
@@ -764,22 +740,10 @@ void RemoteRuntime::attach_store(store::StoreManager* store) {
         return store::SendResult::kGone;
       }
       auto& entry = *it->second;
-      if (entry.peer_version < 3) {
-        // Pre-object peer: it can never host a shard. The store already
-        // treats such pilots as store-incapable; dropping here is the
-        // backstop for races around version renegotiation.
-        return store::SendResult::kGone;
-      }
-      if (net::is_peer_type(m.type) && entry.peer_version < 4) {
-        // A token frame cannot encode on a v3 stream; report the grant
-        // undeliverable so the scheduler falls back to the star.
-        return store::SendResult::kGone;
-      }
       if (entry.conn == nullptr) {
         // Agent hasn't said hello yet; retry after the pump's backoff.
         return store::SendResult::kBusy;
       }
-      m.version = entry.peer_version;
       m.seq = entry.seq++;  // seq gaps from rejected sends are harmless
       conn = entry.conn;
     }
@@ -844,7 +808,6 @@ void RemoteRuntime::cancel_pilot(const std::string& pilot_id) {
   if (entry->conn) {
     net::Message bye;
     bye.type = net::MessageType::kShutdown;
-    bye.version = entry->peer_version;
     bye.pilot_id = pilot_id;
     bye.seq = entry->seq++;  // entry is detached; no lock needed
     send_on(entry->conn, std::move(bye));
@@ -865,10 +828,13 @@ void RemoteRuntime::execute_unit(const std::string& pilot_id,
                                  const core::ComputeUnitDescription& description,
                                  const std::string& unit_id,
                                  std::function<void(bool)> on_done) {
+  // A one-unit kUnitBatch; the dispatch sink merges runs of them into
+  // frames sized to the agent's window.
   net::Message m;
-  m.type = net::MessageType::kExecuteUnit;
+  m.type = net::MessageType::kUnitBatch;
   m.pilot_id = pilot_id;
-  m.unit = net::to_wire_unit(unit_id, description, description.work != nullptr);
+  m.units.push_back(
+      net::to_wire_unit(unit_id, description, description.work != nullptr));
   {
     check::MutexLock lock(mutex_);
     const auto it = pilots_.find(pilot_id);
@@ -890,9 +856,8 @@ void RemoteRuntime::execute_unit(const std::string& pilot_id,
       s->prefetch(pilot_id, description.input_data);
     }
   }
-  // The hot path ends here: the dispatch flusher coalesces queued units
-  // into kUnitBatch frames sized to the agent's window. Pushed with
-  // mutex_ released — the flusher lock ranks below ours.
+  // The hot path ends here. Pushed with mutex_ released — the flusher
+  // lock ranks below ours.
   dispatch_->push(std::move(m));
 }
 
@@ -918,12 +883,10 @@ std::vector<net::Message> RemoteRuntime::dispatch(
     bool drop_rest = false;
     while (i < msgs.size()) {
       net::ConnectionPtr conn;
-      std::uint8_t version = net::kProtocolVersion;
       std::size_t take = 0;
       std::size_t cap = 1;
-      net::Message b;  // kUnitBatch under construction (v2 peers)
+      net::Message b;  // merged kUnitBatch under construction
       arena_.clear();
-      std::uint64_t frames = 0;
       {
         check::MutexLock lock(mutex_);
         const auto it = pilots_.find(pilot_id);
@@ -935,7 +898,6 @@ std::vector<net::Message> RemoteRuntime::dispatch(
         } else {
           auto& entry = *it->second;
           conn = entry.conn;
-          version = entry.peer_version;
           cap = std::max<std::size_t>(1, entry.flush_cap);
           if (conn != nullptr && entry.window > 0) {
             take = std::min({msgs.size() - i,
@@ -951,34 +913,21 @@ std::vector<net::Message> RemoteRuntime::dispatch(
           // window; a transport reject credits the reservation back.
           entry.window -= static_cast<std::int64_t>(take);
           if (take > 0) {
-            if (version >= 2) {
-              b.type = net::MessageType::kUnitBatch;
-              b.version = version;
-              b.pilot_id = pilot_id;
-              b.seq = entry.seq++;
-              b.units.reserve(take);
-              for (std::size_t j = 0; j < take; ++j) {
-                b.units.push_back(std::move(msgs[i + j].unit));
-              }
-              net::append_message_frame(arena_, b);
-              frames = 1;
-            } else {
-              // Pre-batch peer: per-unit frames, but still one gather.
-              for (std::size_t j = 0; j < take; ++j) {
-                net::Message& m = msgs[i + j];
-                m.version = version;
-                m.seq = entry.seq++;
-                net::append_message_frame(arena_, m);
-                ++frames;
-              }
+            b.type = net::MessageType::kUnitBatch;
+            b.pilot_id = pilot_id;
+            b.seq = entry.seq++;
+            b.units.reserve(take);
+            for (std::size_t j = 0; j < take; ++j) {
+              b.units.push_back(std::move(msgs[i + j].units.front()));
             }
+            net::append_message_frame(arena_, b);
           }
         }
       }
       if (drop_rest || take == 0) {
         break;  // drop, or retain msgs[i..) below (no conn / no window)
       }
-      if (conn->send_gather(arena_, frames)) {
+      if (conn->send_gather(arena_, 1)) {
         {
           check::MutexLock lock(mutex_);
           const auto it = pilots_.find(pilot_id);
@@ -1004,12 +953,10 @@ std::vector<net::Message> RemoteRuntime::dispatch(
             it->second->flush_cap = cap > 1 ? cap / 2 : 1;
           }
         }
-        if (version >= 2) {
-          // The units were moved into the rejected batch frame; move
-          // them back so the retry re-encodes them.
-          for (std::size_t j = 0; j < take; ++j) {
-            msgs[i + j].unit = std::move(b.units[j]);
-          }
+        // The units were moved into the rejected batch frame; move them
+        // back so the retry re-encodes them.
+        for (std::size_t j = 0; j < take; ++j) {
+          msgs[i + j].units.front() = std::move(b.units[j]);
         }
         break;  // retain msgs[i..)
       }
@@ -1041,7 +988,16 @@ void RemoteRuntime::handle_message(
   try {
     m = net::decode_message(payload.data(), payload.size());
   } catch (const std::exception& e) {
-    PA_LOG(kWarn, "remote-rt") << "dropping bad message: " << e.what();
+    // A rejected hello (typically an agent built from another tree, whose
+    // version byte the decoder refuses) means the pilot never comes up
+    // until the heartbeat deadline fails it: say so loudly.
+    if (payload.size() > 1 &&
+        static_cast<std::uint8_t>(payload[1]) ==
+            static_cast<std::uint8_t>(net::MessageType::kHello)) {
+      PA_LOG(kError, "remote-rt") << "rejected hello: " << e.what();
+    } else {
+      PA_LOG(kWarn, "remote-rt") << "dropping bad message: " << e.what();
+    }
     return;
   }
   switch (m.type) {
@@ -1071,24 +1027,16 @@ void RemoteRuntime::handle_message(
           entry->conn = conn;
           ++entry->hello_count;
           entry->last_alive = now();
-          // Version negotiation: the hello header carries the agent's
-          // newest version; everything to this pilot now speaks
-          // min(ours, theirs). Batch frames need >= 2.
-          entry->peer_version = std::min(net::kProtocolVersion, m.version);
-          // v4 hellos publish the agent's peer-listener address; it is
+          // The hello publishes the agent's peer-listener address; it is
           // handed to the store at kPilotActive so grants can name this
           // pilot as a transfer source.
-          entry->peer_endpoint =
-              entry->peer_version >= 4 ? m.peer_endpoint : std::string();
+          entry->peer_endpoint = m.peer_endpoint;
           start = net::make_start_pilot(m.pilot_id, entry->description);
-          start.version = entry->peer_version;
           start.seq = entry->seq++;
-          if (entry->peer_version >= 4) {
-            // Ship the fleet token key so the agent can validate peer
-            // grants offline (config_ is immutable after construction).
-            if (store::StoreManager* s = store_.load()) {
-              start.token_key = s->config().token_key;
-            }
+          // Ship the fleet token key so the agent can validate peer
+          // grants offline (config_ is immutable after construction).
+          if (store::StoreManager* s = store_.load()) {
+            start.token_key = s->config().token_key;
           }
         }
       }
@@ -1097,7 +1045,6 @@ void RemoteRuntime::handle_message(
         // away; we may not close from its own handler.
         net::Message bye;
         bye.type = net::MessageType::kShutdown;
-        bye.version = std::min(net::kProtocolVersion, m.version);
         bye.pilot_id = m.pilot_id;
         send_on(conn, std::move(bye));
         return;
@@ -1108,7 +1055,6 @@ void RemoteRuntime::handle_message(
     }
     case net::MessageType::kPilotActive: {
       std::function<void(const std::string&, int, const std::string&)> cb;
-      std::uint8_t peer_version = net::kProtocolVersion;
       std::string peer_endpoint;
       {
         check::MutexLock lock(mutex_);
@@ -1123,7 +1069,6 @@ void RemoteRuntime::handle_message(
         it->second->window =
             static_cast<std::int64_t>(m.total_cores) *
             config_.dispatch_window_factor;
-        peer_version = it->second->peer_version;
         peer_endpoint = it->second->peer_endpoint;
         cb = it->second->callbacks.on_active;
       }
@@ -1132,8 +1077,7 @@ void RemoteRuntime::handle_message(
       // and ensure_on must already know the pilot's site. Store calls run
       // with mutex_ released — its lock ranks below ours (11 < 14).
       if (store::StoreManager* s = store_.load()) {
-        s->pilot_active(m.pilot_id, m.site, peer_version >= 3,
-                        peer_endpoint);
+        s->pilot_active(m.pilot_id, m.site, peer_endpoint);
       }
       // Callbacks run with no net lock held: they re-enter the service
       // (rank 10 < ours) — see the lock-hierarchy note in the header.
@@ -1187,33 +1131,6 @@ void RemoteRuntime::handle_message(
       if (store::StoreManager* s = store_.load()) {
         s->on_agent_message(m.pilot_id, m);
       }
-      break;
-    }
-    case net::MessageType::kUnitDone: {
-      std::function<void(bool)> done;
-      {
-        check::MutexLock lock(mutex_);
-        const auto it = pilots_.find(m.pilot_id);
-        if (it == pilots_.end()) {
-          return;
-        }
-        it->second->last_alive = now();
-        it->second->window += 1;  // one slot freed
-        const auto unit_it = it->second->inflight.find(m.unit_id);
-        if (unit_it != it->second->inflight.end()) {
-          done = std::move(unit_it->second);
-          it->second->inflight.erase(unit_it);
-        }
-      }
-      if (config_.metrics != nullptr) {
-        config_.metrics->counter("net.units_done").inc();
-      }
-      if (done) {
-        done(m.success);
-      }
-      // else: stale completion for a requeued attempt; dropped, exactly
-      // like the service's own attempt tagging.
-      dispatch_->kick();
       break;
     }
     case net::MessageType::kUnitDoneBatch: {
@@ -1305,7 +1222,6 @@ void RemoteRuntime::heartbeat_loop() {
       if (entry->conn) {
         net::Message hb;
         hb.type = net::MessageType::kHeartbeat;
-        hb.version = entry->peer_version;
         hb.pilot_id = it->first;
         hb.seq = entry->seq++;
         hb.timestamp = pa::wall_seconds();

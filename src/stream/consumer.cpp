@@ -46,6 +46,8 @@ void GroupCoordinator::leave(const std::string& topic,
   if (it == groups_.end()) {
     return;
   }
+  std::erase_if(it->second.holders,
+                [&](const auto& h) { return h.second == member_id; });
   if (it->second.members.erase(member_id) > 0) {
     rebalance(topic, it->second);
   }
@@ -76,23 +78,32 @@ std::vector<int> GroupCoordinator::assignment(
   return it == g->assignments.end() ? std::vector<int>{} : it->second;
 }
 
-GroupCoordinator::MemberView GroupCoordinator::member_view(
+GroupCoordinator::MemberView GroupCoordinator::sync_member(
     const std::string& topic, const std::string& group,
-    const std::string& member_id) const {
+    const std::string& member_id) {
   check::MutexLock lock(mutex_);
   MemberView view;
-  const Group* g = find_group(topic, group);
-  if (g == nullptr) {
+  const auto git = groups_.find({topic, group});
+  if (git == groups_.end()) {
     return view;
   }
-  view.generation = g->generation;
-  const auto it = g->assignments.find(member_id);
-  if (it != g->assignments.end()) {
-    view.partitions = it->second;
-  }
-  for (int p : view.partitions) {
-    const auto c = g->committed.find(p);
-    view.committed[p] = c == g->committed.end() ? 0 : c->second;
+  Group& g = git->second;
+  const auto ait = g.assignments.find(member_id);
+  const std::vector<int> assigned =
+      ait == g.assignments.end() ? std::vector<int>{} : ait->second;
+  std::erase_if(g.holders, [&](const auto& h) {
+    return h.second == member_id &&
+           std::find(assigned.begin(), assigned.end(), h.first) ==
+               assigned.end();
+  });
+  for (int p : assigned) {
+    const auto held = g.holders.try_emplace(p, member_id).first;
+    if (held->second != member_id) {
+      continue;  // the previous holder has not released it yet
+    }
+    view.partitions.push_back(p);
+    const auto c = g.committed.find(p);
+    view.committed[p] = c == g.committed.end() ? 0 : c->second;
   }
   return view;
 }
@@ -150,23 +161,24 @@ Consumer::~Consumer() {
 }
 
 void Consumer::refresh_assignment() {
-  // One coherent snapshot: generation, partitions, and committed offsets
-  // all come from the same coordinator lock acquisition, so a rebalance
-  // landing mid-refresh can never pair one generation's number with
-  // another generation's assignment.
   const GroupCoordinator::MemberView view =
-      coordinator_.member_view(topic_, group_, member_id_);
-  if (view.generation == generation_) {
+      coordinator_.sync_member(topic_, group_, member_id_);
+  if (view.partitions == assigned_) {
     return;
   }
-  generation_ = view.generation;
-  assigned_ = view.partitions;
-  positions_.clear();
-  for (int p : assigned_) {
-    // Resume from the group's committed offset, clamped to retention.
-    positions_[p] = std::max(view.committed.at(p),
-                             broker_.begin_offset(topic_, p));
+  std::map<int, std::uint64_t> positions;
+  for (int p : view.partitions) {
+    // A partition held across the change keeps its fetch position: no
+    // other member can have read it meanwhile. A newly claimed one
+    // resumes from the group's committed offset, clamped to retention.
+    const auto kept = positions_.find(p);
+    positions[p] = kept != positions_.end()
+                       ? kept->second
+                       : std::max(view.committed.at(p),
+                                  broker_.begin_offset(topic_, p));
   }
+  assigned_ = view.partitions;
+  positions_ = std::move(positions);
   rr_index_ = 0;
 }
 

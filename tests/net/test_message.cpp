@@ -55,33 +55,6 @@ TEST(Message, PilotTerminatedRoundTrips) {
   EXPECT_EQ(round_trip(m), m);
 }
 
-TEST(Message, ExecuteUnitRoundTrips) {
-  Message m;
-  m.type = MessageType::kExecuteUnit;
-  m.seq = 1000;
-  m.pilot_id = "pilot-3";
-  m.unit.unit_id = "unit-77";
-  m.unit.name = "stage-in";
-  m.unit.cores = 4;
-  m.unit.duration = 2.5;
-  m.unit.input_data = {"file://a", "file://b"};
-  m.unit.output_data = {"file://out"};
-  m.unit.attributes = "locality=preferred";
-  m.unit.has_work = true;
-  EXPECT_EQ(round_trip(m), m);
-}
-
-TEST(Message, UnitDoneRoundTrips) {
-  Message m;
-  m.type = MessageType::kUnitDone;
-  m.seq = 2;
-  m.pilot_id = "p";
-  m.unit_id = "unit-3";
-  m.success = true;
-  m.timestamp = 12.75;
-  EXPECT_EQ(round_trip(m), m);
-}
-
 TEST(Message, HeartbeatAndAckRoundTrip) {
   for (auto type : {MessageType::kHeartbeat, MessageType::kHeartbeatAck}) {
     Message m;
@@ -112,6 +85,7 @@ TEST(Message, UnitBatchRoundTrips) {
     u.cores = 1 + i;
     u.duration = 0.5 * i;
     u.input_data = {"in-" + std::to_string(i)};
+    u.output_data = {"out-" + std::to_string(i)};
     u.attributes = "k=v";
     u.has_work = (i % 2) == 0;
     m.units.push_back(std::move(u));
@@ -146,48 +120,6 @@ TEST(Message, NegativeWindowRoundTrips) {
   m.pilot_id = "p";
   m.window = -3;
   EXPECT_EQ(round_trip(m), m);
-}
-
-TEST(Message, BatchTypesRefuseVersion1Encode) {
-  // A manager that negotiated v1 must never emit batch frames; encoding
-  // one is a programming error surfaced as a clean pa::Error.
-  for (auto type : {MessageType::kUnitBatch, MessageType::kUnitDoneBatch}) {
-    Message m;
-    m.type = type;
-    m.version = 1;
-    m.pilot_id = "p";
-    EXPECT_THROW(encode_message(m), pa::Error) << to_string(type);
-  }
-}
-
-TEST(Message, BatchTypesRefuseVersion1Decode) {
-  // A v2 batch frame whose header claims v1 (malicious or buggy peer)
-  // must be a clean protocol error, not a decode latch or a crash.
-  for (auto type : {MessageType::kUnitBatch, MessageType::kUnitDoneBatch}) {
-    Message m;
-    m.type = type;
-    m.pilot_id = "p";
-    std::string bytes = encode_message(m);
-    ASSERT_GE(bytes[0], 2);  // batch frames always carry v2+
-    bytes[0] = 1;
-    EXPECT_THROW(decode_message(bytes.data(), bytes.size()), pa::Error)
-        << to_string(type);
-  }
-}
-
-TEST(Message, Version1MessagesStillDecode) {
-  // Downgraded streams re-encode classic types with the v1 header byte;
-  // both versions of the header must decode identically.
-  Message m;
-  m.type = MessageType::kUnitDone;
-  m.version = 1;
-  m.pilot_id = "p";
-  m.unit_id = "u";
-  m.success = true;
-  m.timestamp = 3.5;
-  const Message back = round_trip(m);
-  EXPECT_EQ(back.version, 1);
-  EXPECT_EQ(back.unit_id, "u");
 }
 
 TEST(Message, BatchCountCannotExceedPayload) {
@@ -257,12 +189,28 @@ TEST(Message, CorruptBatchAtEveryByteNeverCrashes) {
 }
 
 TEST(Message, UnknownVersionRejected) {
+  // One protocol version: an older or newer header byte is refused, and
+  // the error names both versions so a mixed fleet is diagnosable.
   Message m;
   m.type = MessageType::kHello;
   m.pilot_id = "p";
-  std::string bytes = encode_message(m);
-  bytes[0] = static_cast<char>(kProtocolVersion + 1);
-  EXPECT_THROW(decode_message(bytes.data(), bytes.size()), pa::Error);
+  const std::string good = encode_message(m);
+  ASSERT_EQ(static_cast<std::uint8_t>(good[0]), kProtocolVersion);
+  for (const int version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    std::string bytes = good;
+    bytes[0] = static_cast<char>(version);
+    try {
+      (void)decode_message(bytes.data(), bytes.size());
+      ADD_FAILURE() << "version " << version << " decoded";
+    } catch (const pa::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(version)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::to_string(kProtocolVersion)),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Message, UnknownTypeRejected) {
@@ -294,12 +242,14 @@ TEST(Message, TrailingBytesRejected) {
 }
 
 TEST(Message, HugeStringCountRejectedWithoutAllocating) {
-  // A kExecuteUnit whose input_data list claims 2^31 entries must throw,
-  // not attempt the allocation.
+  // A unit whose input_data list claims 2^31 entries must throw, not
+  // attempt the allocation.
   Message m;
-  m.type = MessageType::kExecuteUnit;
+  m.type = MessageType::kUnitBatch;
   m.pilot_id = "p";
-  m.unit.unit_id = "u";
+  WireUnitDescription u;
+  u.unit_id = "u";
+  m.units.push_back(u);
   std::string bytes = encode_message(m);
   // input_data count is the first u32 after the unit's duration field;
   // rather than hunt for the offset, corrupt every u32-aligned position
@@ -368,35 +318,6 @@ TEST(Message, NotFoundChunkRoundTrips) {
   EXPECT_EQ(round_trip(m), m);
 }
 
-TEST(Message, ObjectTypesRefusePreV3Encode) {
-  // A manager that negotiated v2 or v1 must never emit object frames.
-  for (auto type : {MessageType::kObjPut, MessageType::kObjGet,
-                    MessageType::kObjChunk, MessageType::kObjLocate}) {
-    for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-      Message m;
-      m.type = type;
-      m.version = version;
-      m.pilot_id = "p";
-      m.object_id = "o0000000000000001";
-      EXPECT_THROW(encode_message(m), pa::Error)
-          << to_string(type) << " v" << int(version);
-    }
-  }
-}
-
-TEST(Message, ObjectTypesRefusePreV3Decode) {
-  // An object frame whose header claims v2 must be a clean protocol
-  // error, not a decode latch.
-  Message m;
-  m.type = MessageType::kObjLocate;
-  m.pilot_id = "p";
-  m.object_id = "o0000000000000001";
-  std::string bytes = encode_message(m);
-  ASSERT_GE(bytes[0], 3);  // object frames always carry v3+
-  bytes[0] = 2;
-  EXPECT_THROW(decode_message(bytes.data(), bytes.size()), pa::Error);
-}
-
 TEST(Message, TruncatedObjChunkRejected) {
   Message m;
   m.type = MessageType::kObjChunk;
@@ -422,22 +343,6 @@ TEST(Message, HelloV4CarriesPeerEndpoint) {
   EXPECT_EQ(round_trip(m), m);
 }
 
-TEST(Message, HelloV3StaysByteForByteHeaderOnly) {
-  // A v3 fleet must see exactly the pre-v4 hello: the dial address is
-  // appended only when the header says v4+, so the v3 encoding of a
-  // hello with a populated peer_endpoint is identical to one without.
-  Message bare;
-  bare.type = MessageType::kHello;
-  bare.version = 3;
-  bare.pilot_id = "pilot-3";
-  Message dialed = bare;
-  dialed.peer_endpoint = "127.0.0.1:45123";
-  EXPECT_EQ(encode_message(bare), encode_message(dialed));
-  const Message back = round_trip(dialed);
-  EXPECT_EQ(back.version, 3);
-  EXPECT_TRUE(back.peer_endpoint.empty());
-}
-
 TEST(Message, StartPilotV4CarriesTokenKey) {
   Message m;
   m.type = MessageType::kStartPilot;
@@ -446,18 +351,6 @@ TEST(Message, StartPilotV4CarriesTokenKey) {
   m.nodes = 2;
   m.token_key = "fleet-secret";
   EXPECT_EQ(round_trip(m), m);
-}
-
-TEST(Message, StartPilotV3OmitsTokenKey) {
-  Message bare;
-  bare.type = MessageType::kStartPilot;
-  bare.version = 3;
-  bare.pilot_id = "p";
-  bare.resource_url = "remote://site";
-  Message keyed = bare;
-  keyed.token_key = "fleet-secret";
-  EXPECT_EQ(encode_message(bare), encode_message(keyed));
-  EXPECT_TRUE(round_trip(keyed).token_key.empty());
 }
 
 TEST(Message, XferTokenRoundTrips) {
@@ -535,36 +428,6 @@ TEST(Message, PeerDoneRoundTrips) {
   }
 }
 
-TEST(Message, PeerTypesRefusePreV4Encode) {
-  for (auto type : {MessageType::kXferToken, MessageType::kPeerOffer,
-                    MessageType::kPeerChunk, MessageType::kPeerDone}) {
-    for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2},
-                                 std::uint8_t{3}}) {
-      Message m;
-      m.type = type;
-      m.version = version;
-      m.pilot_id = "p";
-      m.object_id = "o0000000000000001";
-      EXPECT_THROW(encode_message(m), pa::Error)
-          << to_string(type) << " v" << int(version);
-    }
-  }
-}
-
-TEST(Message, PeerTypesRefusePreV4Decode) {
-  // A peer frame whose header claims v3 must be a clean protocol error,
-  // not a decode latch.
-  Message m;
-  m.type = MessageType::kPeerDone;
-  m.pilot_id = "p";
-  m.object_id = "o0000000000000001";
-  m.nonce = 5;
-  std::string bytes = encode_message(m);
-  ASSERT_GE(bytes[0], 4);  // peer frames always carry v4+
-  bytes[0] = 3;
-  EXPECT_THROW(decode_message(bytes.data(), bytes.size()), pa::Error);
-}
-
 TEST(Message, TruncatedXferTokenRejected) {
   Message m;
   m.type = MessageType::kXferToken;
@@ -583,10 +446,9 @@ TEST(Message, TruncatedXferTokenRejected) {
 
 TEST(Message, FrameHelperRoundTrips) {
   Message m;
-  m.type = MessageType::kUnitDone;
+  m.type = MessageType::kUnitDoneBatch;
   m.pilot_id = "p";
-  m.unit_id = "u";
-  m.success = true;
+  m.completions.push_back(WireUnitDone{"u", true, 0.0});
   std::string stream;
   append_message_frame(stream, m);
   FrameDecoder decoder;

@@ -128,7 +128,7 @@ struct RemoteStack {
   }
 
   /// Applied to agents the launcher creates from this point on; set it
-  /// before submitting pilots (test hook for mixed-version / flusher
+  /// before submitting pilots (test hook for flusher and store
   /// configurations).
   AgentEndpointConfig agent_config;
   AgentFarm farm;
@@ -412,11 +412,6 @@ TEST(RemoteRuntime, BackpressuredAgentSendPathLosesNoCompletions) {
               manager.active = true;
               break;
             }
-            case net::MessageType::kUnitDone: {
-              check::MutexLock lock(manager.mu);
-              manager.completions.push_back(m.unit_id);
-              break;
-            }
             case net::MessageType::kUnitDoneBatch: {
               check::MutexLock lock(manager.mu);
               for (const net::WireUnitDone& d : m.completions) {
@@ -602,29 +597,6 @@ TEST(RemoteRuntime, KilledAgentFlushesBufferedCompletionsExactlyOnce) {
   // Exactly-once: 8 executions on the dead pilot + 16 on the replacement.
   // A dropped final flush would re-execute the buffered 8 (executions 32).
   EXPECT_EQ(executions.load(), kUnits);
-  transport.stop();
-}
-
-// Mixed-version deployment: an agent that only speaks protocol v1 must get
-// per-unit kExecuteUnit dispatch (no batch frames) and still complete the
-// workload — version negotiation downgrades cleanly instead of latching
-// the decoder.
-TEST(RemoteRuntime, PreBatchAgentFallsBackToPerUnitDispatch) {
-  net::InProcTransport transport;
-  RemoteStack stack(transport, "inproc://manager");
-  stack.agent_config.wire_version = 1;
-
-  Pilot pilot = stack.service->submit_pilot(remote_pilot(2, "site-a"));
-  pilot.wait_active(10.0);
-
-  constexpr int kUnits = 40;
-  std::vector<int> results;
-  run_workload(*stack.service, kUnits, results);
-  for (int i = 0; i < kUnits; ++i) {
-    EXPECT_EQ(results[i], i * i) << "unit " << i;
-  }
-  EXPECT_EQ(stack.service->metrics().units_done,
-            static_cast<std::size_t>(kUnits));
   transport.stop();
 }
 

@@ -1,7 +1,7 @@
 /// \file test_peer_transfer.cpp
 /// \brief Brokered peer-to-peer data plane: end-to-end grants over a live
-/// fleet, v3 negotiation down to the star, and deterministic grant-ledger
-/// mechanics against a recording sender (no transport).
+/// fleet, the star fallback, and deterministic grant-ledger mechanics
+/// against a recording sender (no transport).
 
 #include <gtest/gtest.h>
 
@@ -197,39 +197,6 @@ TEST(PeerTransfer, PeerGrantMovesBytesAgentToAgent) {
   transport.stop();
 }
 
-TEST(PeerTransfer, V3FleetNegotiatesDownToStar) {
-  net::InProcTransport transport;
-  StoreManager store;
-  StoreStack stack(transport, "inproc://peer-v3", store);
-  stack.agent_config.wire_version = 3;  // the whole fleet predates tokens
-
-  Pilot p1 = stack.service->submit_pilot(remote_pilot(2, "site-a"));
-  Pilot p2 = stack.service->submit_pilot(remote_pilot(2, "site-b"));
-  p1.wait_active(10.0);
-  p2.wait_active(10.0);
-
-  // v3 agents never open a peer listener, so no dial address exists.
-  AgentEndpoint* a1 = stack.farm.agent(p1.id());
-  ASSERT_NE(a1, nullptr);
-  EXPECT_TRUE(a1->peer_endpoint().empty());
-
-  const std::string bytes = pattern_bytes(120'000, 13);
-  const std::string oid = store.put(bytes);
-  ASSERT_TRUE(ensure_sync(store, p1.id(), oid));
-  ASSERT_TRUE(ensure_sync(store, p2.id(), oid));
-
-  const StoreManagerStats stats = store.stats();
-  EXPECT_EQ(stats.pushes, 2u);  // both placements rode the star
-  EXPECT_EQ(stats.tokens_minted, 0u);
-  EXPECT_EQ(stats.peer_transfers, 0u);
-  EXPECT_EQ(stats.peer_bytes, 0u);
-
-  AgentEndpoint* a2 = stack.farm.agent(p2.id());
-  ASSERT_NE(a2, nullptr);
-  EXPECT_EQ(a2->store().shard().get(oid).value_or(""), bytes);
-  transport.stop();
-}
-
 TEST(PeerTransfer, StreamingPutMovesOversizeObjectThroughStore) {
   TempDir spill;
   net::InProcTransport transport;
@@ -290,7 +257,7 @@ struct FakeFleet {
   }
 
   void activate(const std::string& pilot, const std::string& endpoint) {
-    store.pilot_active(pilot, "site-" + pilot, true, endpoint);
+    store.pilot_active(pilot, "site-" + pilot, endpoint);
   }
 
   void seed_holder(const std::string& pilot, const std::string& object_id,
@@ -504,6 +471,25 @@ TEST(PeerGrant, SmallObjectRidesStarDespiteEligiblePeerSource) {
   EXPECT_EQ(fleet.store.stats().tokens_minted, 0u);
   EXPECT_EQ(fleet.store.stats().pushes, 1u);
   EXPECT_EQ(fleet.store.stats().peer_fallbacks, 0u);
+}
+
+TEST(PeerGrant, PilotWithoutEndpointRidesStar) {
+  // An agent whose peer listener failed to bind publishes "": it can be
+  // neither a grant's source nor its destination, so both placements
+  // below ride the star and no token is minted.
+  FakeFleet fleet;
+  fleet.activate("p1", "");
+  fleet.activate("p2", "inproc://peer-p2");
+  fleet.activate("p3", "");
+  const std::string bytes = pattern_bytes(3000, 19);
+  const std::string oid = fleet.store.put(bytes);
+  fleet.seed_holder("p1", oid, bytes.size());
+
+  fleet.store.ensure_on("p2", oid, nullptr);  // source has no endpoint
+  fleet.seed_holder("p2", oid, bytes.size());
+  fleet.store.ensure_on("p3", oid, nullptr);  // dest has no endpoint
+  EXPECT_EQ(fleet.store.stats().tokens_minted, 0u);
+  EXPECT_EQ(fleet.store.stats().pushes, 2u);
 }
 
 }  // namespace

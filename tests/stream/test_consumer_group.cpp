@@ -144,6 +144,24 @@ TEST_F(ConsumerGroupTest, ConsumerPicksUpNewAssignmentAfterRebalance) {
   EXPECT_EQ(a.assigned_partitions().size(), 3u);
 }
 
+TEST_F(ConsumerGroupTest, NewOwnerWaitsForPreviousHolderToRelease) {
+  // a holds every partition with a polled, uncommitted batch when b
+  // joins. b must not read a's partitions until a's next poll releases
+  // them, and then resumes from what a committed: no message twice.
+  GroupCoordinator coord(broker_);
+  Consumer a(broker_, coord, "t", "g", "m1");
+  EXPECT_EQ(a.poll(1000).size(), 60u);
+  Consumer b(broker_, coord, "t", "g", "m2");
+  EXPECT_TRUE(b.poll(1000).empty());
+  EXPECT_TRUE(b.assigned_partitions().empty());
+  a.commit();
+  EXPECT_TRUE(a.poll(1000).empty());  // releases b's half
+  EXPECT_EQ(a.assigned_partitions().size(), 3u);
+  EXPECT_TRUE(b.poll(1000).empty());
+  EXPECT_EQ(b.assigned_partitions().size(), 3u);
+  EXPECT_EQ(coord.lag("t", "g"), 0u);
+}
+
 TEST_F(ConsumerGroupTest, IndependentGroupsSeeAllMessages) {
   GroupCoordinator coord(broker_);
   Consumer a(broker_, coord, "t", "g1", "m1");

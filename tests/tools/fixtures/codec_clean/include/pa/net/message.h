@@ -6,18 +6,16 @@
 namespace pa::net {
 
 inline constexpr std::uint8_t kProtocolVersion = 2;
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 
 enum class MessageType : std::uint8_t {
   kPing = 1,  ///< liveness probe
-  kData = 2,  ///< payload frame (v2+)
+  kData = 2,  ///< payload frame
 };
 
 const char* to_string(MessageType t);
 
 struct Message {
   MessageType type = MessageType::kPing;
-  std::uint8_t version = kProtocolVersion;
   std::uint64_t seq = 0;
   double timestamp = 0.0;
   std::string payload;

@@ -21,8 +21,6 @@ struct Cursor {
   std::string take_string();
 };
 
-bool is_batch_type(MessageType t) { return t == MessageType::kData; }
-
 }  // namespace
 
 const char* to_string(MessageType t) {
@@ -36,10 +34,7 @@ const char* to_string(MessageType t) {
 }
 
 void encode_message_into(std::string& out, const Message& m) {
-  if (is_batch_type(m.type) && m.version < 2) {
-    throw std::runtime_error("batch frame below v2");
-  }
-  put_u8(out, m.version);
+  put_u8(out, kProtocolVersion);
   put_u8(out, static_cast<std::uint8_t>(m.type));
   put_u64(out, m.seq);
   switch (m.type) {
@@ -57,11 +52,10 @@ Message decode_message(const char* data, std::size_t size) {
   Cursor c{data, size};
   Message m;
   const auto version = c.take<std::uint8_t>();
-  const auto type = c.take<std::uint8_t>();
-  if (is_batch_type(static_cast<MessageType>(type)) && version < 2) {
-    throw std::runtime_error("batch frame below v2");
+  if (version != kProtocolVersion) {
+    throw std::runtime_error("unsupported protocol version");
   }
-  m.version = version;
+  const auto type = c.take<std::uint8_t>();
   m.type = static_cast<MessageType>(type);
   m.seq = c.take<std::uint64_t>();
   switch (m.type) {

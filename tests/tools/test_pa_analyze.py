@@ -79,16 +79,6 @@ class CodecPass(unittest.TestCase):
         self.assertTrue(
             any("never decoded" in m and "crc" in m for m in msgs), msgs)
 
-    def test_ungated_peer_decode_is_flagged(self):
-        # A (v4+)-tagged peer type whose decode path lacks the
-        # `is_peer_type(...) && version < 4` guard: v3 fleets would
-        # accept frames the negotiation promised they never see.
-        findings = run_pass(codec, "codec_peer_ungated")
-        msgs = messages(findings)
-        self.assertEqual(len(findings), 1, msgs)
-        self.assertIn("decode path has no `is_peer_type", msgs[0])
-        self.assertIn("version < 4", msgs[0])
-
 
 class CommandsPass(unittest.TestCase):
     def test_clean_fixture_has_no_findings(self):

@@ -14,10 +14,9 @@ has to hold in their head across the whole tree:
                regenerates the DESIGN.md lock table and fails on drift.
 
   codec        every `net::MessageType`'s encode and decode logic in
-               src/net/message.cpp must agree on field order, width, and
-               version gating; an encoded-but-not-decoded field, a
-               reordered field, or a v3 type handled without the version
-               guard is a finding.
+               src/net/message.cpp must agree on field order and width;
+               an encoded-but-not-decoded field, a reordered field, or a
+               type missing from either switch is a finding.
 
   commands     every variant member of `core::cmd::Command` has an
                apply-side handler, every handler handles a real variant

@@ -1,8 +1,8 @@
 """Pass 2: wire-codec symmetry.
 
-The v1..v4 protocol codec in src/net/message.cpp is hand-written
-encode/decode pairs; nothing but round-trip tests enforces that both
-sides agree. This pass pairs the two switches mechanically:
+The protocol codec in src/net/message.cpp is hand-written encode/decode
+pairs; nothing but round-trip tests enforces that both sides agree. This
+pass pairs the two switches mechanically:
 
   * every `net::MessageType` enum member appears in the encode switch,
     the decode switch, and to_string();
@@ -14,10 +14,6 @@ sides agree. This pass pairs the two switches mechanically:
     names must match — catches reordered fields whose widths happen to
     line up;
   * the put_unit/take_unit sub-codec gets the same treatment;
-  * version gating is closed-loop: the `(v2+)`/`(v3+)`/`(v4+)` tags on
-    the enum, the is_batch_type/is_object_type/is_peer_type membership
-    sets, and the version guards in *both* encode and decode must all
-    agree — a v4 type decodable without a version check is a finding;
   * every field of Message / WireUnitDescription / WireUnitDone is
     referenced by both the encoder and the decoder (no silently dead
     wire fields).
@@ -42,7 +38,6 @@ DEC_OP_RE = re.compile(
     r"\.take_string\s*\(|\btake_unit\s*\(|\btake_batch_count\s*\(")
 CASE_RE = re.compile(r"\bcase\s+MessageType::k(\w+)\s*:")
 ENUM_MEMBER_RE = re.compile(r"\bk(\w+)\s*=\s*(\d+)")
-VERSION_TAG_RE = re.compile(r"\(v(\d+)\+\)")
 FIELD_NAME_RE = re.compile(r"\b[mudw]\.(\w+)")
 
 TAKE_KIND = {
@@ -143,21 +138,13 @@ def switch_region(code: str, body: tuple[int, int],
 
 
 def parse_enum(sf: SourceFile):
-    """name -> (value, min_version) from the MessageType enum; version
-    tags are read from the raw text's `(vN+)` doc comments (stripping
-    preserves offsets, so enum spans line up between raw and code)."""
+    """name -> value from the MessageType enum."""
     m = re.search(r"enum\s+class\s+MessageType[^{]*\{", sf.code)
     if m is None:
         return None
     end = match_brace(sf.code, m.end() - 1)
-    out = {}
-    for em in ENUM_MEMBER_RE.finditer(sf.code, m.end(), end):
-        eol = sf.raw.find("\n", em.start())
-        if eol < 0:
-            eol = len(sf.raw)
-        tag = VERSION_TAG_RE.search(sf.raw, em.start(), eol)
-        out[em.group(1)] = (int(em.group(2)),
-                            int(tag.group(1)) if tag else 1)
+    out = {em.group(1): int(em.group(2))
+           for em in ENUM_MEMBER_RE.finditer(sf.code, m.end(), end)}
     return out or None
 
 
@@ -175,21 +162,6 @@ def struct_fields(sf: SourceFile, name: str) -> list[str]:
         if fm:
             fields.append(fm.group(1))
     return fields
-
-
-def guard_threshold(code: str, body: tuple[int, int],
-                    fn: str) -> int | None:
-    """The N of `is_xxx_type(...) && [m.]version < N` inside a function
-    body, or None when no such guard exists."""
-    for m in re.finditer(r"\b" + re.escape(fn) + r"\s*\(", code):
-        if not body[0] <= m.start() <= body[1]:
-            continue
-        close = match_paren(code, m.end() - 1)
-        after = re.match(r"\s*&&\s*[\w.]*version\s*<\s*(\d+)",
-                         code[close + 1:close + 80])
-        if after:
-            return int(after.group(1))
-    return None
 
 
 def type_set(code: str, body: tuple[int, int]) -> set[str]:
@@ -321,48 +293,6 @@ def run(index: Index) -> list[Finding]:
             findings.append(Finding(
                 IMPL_FILE, line_of(code, ts[0]), PASS,
                 f"to_string() has no case for MessageType::k{name}"))
-
-    # --- version gating: enum tags <-> membership sets <-> guards -------
-    for fn, want_version, label in (
-            ("is_batch_type", 2, "batch"),
-            ("is_object_type", 3, "object"),
-            ("is_peer_type", 4, "peer")):
-        tagged = {n for n, (_, v) in enum.items() if v == want_version}
-        body = func_body(code, r"\bbool\s+" + fn + r"\s*\(")
-        if body is None:
-            if tagged:
-                findings.append(Finding(
-                    IMPL_FILE, 1, PASS,
-                    f"{fn}() not found but the enum tags "
-                    f"{', '.join('k' + t for t in sorted(tagged))} as "
-                    f"(v{want_version}+)"))
-            continue
-        members = type_set(code, body)
-        if members != tagged:
-            extra = ", ".join("k" + t for t in sorted(members - tagged))
-            missing = ", ".join("k" + t for t in sorted(tagged - members))
-            parts = []
-            if missing:
-                parts.append(f"enum tags {missing} as (v{want_version}+) "
-                             f"but {fn}() omits them")
-            if extra:
-                parts.append(f"{fn}() lists {extra}, which the enum does "
-                             f"not tag (v{want_version}+)")
-            findings.append(Finding(IMPL_FILE, line_of(code, body[0]),
-                                    PASS, "; ".join(parts)))
-        for side, fbody in (("encode", enc_body), ("decode", dec_body)):
-            got = guard_threshold(code, fbody, fn)
-            if got is None:
-                findings.append(Finding(
-                    IMPL_FILE, line_of(code, fbody[0]), PASS,
-                    f"{side} path has no `{fn}(...) && version < "
-                    f"{want_version}` guard — {label} types would be "
-                    f"{side}d at v{want_version - 1} peers"))
-            elif got != want_version:
-                findings.append(Finding(
-                    IMPL_FILE, line_of(code, fbody[0]), PASS,
-                    f"{side} path gates {label} types at version "
-                    f"{got}, expected {want_version}"))
 
     # --- struct-field coverage ------------------------------------------
     enc_text = code[enc_body[0]:enc_body[1]]
