@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
                                  "split (pa::net + RemoteRuntime)");
 
   // 1. Framing.
-  Table framing("E14a: framing throughput (encode = append_frame + CRC32, "
+  Table framing("E14a: framing throughput (encode = append_frame + CRC-32C, "
                 "decode = FrameDecoder over 64 KiB chunks)");
   framing.set_columns({Column{"payload_B", 0, true},
                        Column{"frames", 0, true},

@@ -11,7 +11,7 @@
 /// map under `kShardRouter` and are consulted only off the fast path —
 /// when a shard receives a command for an entity it does not own.
 ///
-/// Tenants hash to shards with FNV-1a so a tenant's pilots land together
+/// Tenants hash to shards with XXH64 so a tenant's pilots land together
 /// by default (admission state and fair-share views stay shard-local).
 
 #include <cstdint>
@@ -37,7 +37,7 @@ class ShardRouter {
   /// a hash of the whole id when the ordinal is absent.
   int default_shard(const std::string& id) const;
 
-  /// Stable tenant placement (FNV-1a of the tenant name % shards).
+  /// Stable tenant placement (XXH64 of the tenant name % shards).
   int shard_for_tenant(const std::string& tenant) const;
 
   /// Pins `id` to `shard` (override). Used when an entity is created on
@@ -53,7 +53,6 @@ class ShardRouter {
 
  private:
   static int trailing_ordinal(const std::string& id);
-  static std::uint64_t fnv1a(const std::string& s);
 
   const int shards_;
   mutable check::Mutex mutex_{check::LockRank::kShardRouter,

@@ -93,7 +93,8 @@ class Journal {
   mutable check::Mutex mutex_{check::LockRank::kJournal, "journal::Journal"};
   mutable ManagerImage image_ PA_GUARDED_BY(mutex_);
   /// Wal prefix already materialized in the image.
-  mutable std::uint64_t applied_bytes_ PA_GUARDED_BY(mutex_) = 0;
+  mutable std::uint64_t applied_bytes_ PA_GUARDED_BY(mutex_) =
+      kFileHeaderBytes;
   mutable std::uint64_t applied_records_ PA_GUARDED_BY(mutex_) = 0;
   std::unique_ptr<Writer> writer_;  ///< set in ctor, immutable after
   std::size_t records_since_snapshot_ PA_GUARDED_BY(mutex_) = 0;

@@ -28,10 +28,13 @@ struct ReadResult {
 };
 
 /// Parses `path`. A missing file yields an empty, un-torn result (a new
-/// journal); an unreadable file throws pa::Error.
+/// journal), and a file shorter than the file header an empty, torn one.
+/// An unreadable file, or one whose header names another format, throws
+/// pa::Error. Offsets in the result count the header.
 ReadResult read_journal(const std::string& path);
 
-/// Same scan over an in-memory buffer (tests, torn-tail analysis).
+/// The frame scan over an in-memory buffer of frames that follows the
+/// file header (tests, torn-tail analysis, the journal's image drain).
 ReadResult scan(const char* data, std::size_t size);
 
 /// Truncates `path` to `bytes` (drops a torn tail). Throws pa::Error when

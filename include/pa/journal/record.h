@@ -6,7 +6,17 @@
 /// Framing (little-endian, native byte order — the journal is a local
 /// write-ahead log, not a wire format):
 ///
-///     u32 payload_length | u32 crc32(payload) | payload bytes
+///     u32 payload_length | u32 crc32c(payload) | payload bytes
+///
+/// Every wal and snapshot file starts with an 8-byte file header,
+///
+///     u32 kFileMagic ("PAJL") | u32 kFormatVersion
+///
+/// so a file written in another format is refused by name instead of being
+/// mistaken for a torn tail and truncated away. Format 1 files (IEEE CRC-32
+/// frames, no header) predate it; format 2 is CRC-32C frames behind the
+/// header. A file shorter than the header is a crash during creation and
+/// holds no records.
 ///
 /// The payload serializes {type, seq, time, entity, fields} with
 /// length-prefixed strings, so ids and attribute values may contain any
@@ -56,6 +66,23 @@ std::string encode_payload(const Record& record);
 
 /// Parses a record body; throws pa::Error on malformed input.
 Record decode_payload(const char* data, std::size_t size);
+
+/// "PAJL" read as a little-endian u32.
+inline constexpr std::uint32_t kFileMagic = 0x4C4A4150;
+
+/// The one on-disk format this build reads and writes; no legacy reader.
+inline constexpr std::uint32_t kFormatVersion = 2;
+
+/// Bytes of the `magic | version` file header.
+inline constexpr std::size_t kFileHeaderBytes = 8;
+
+/// Appends the file header to `out`.
+void append_file_header(std::string& out);
+
+/// Checks the kFileHeaderBytes at `header`; throws pa::Error naming the
+/// file's format and kFormatVersion when they differ. `path` names the
+/// file in the message.
+void check_file_header(const char* header, const std::string& path);
 
 /// Bytes of the `length | crc` frame header.
 inline constexpr std::size_t kFrameHeaderBytes = 8;

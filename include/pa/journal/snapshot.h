@@ -2,8 +2,9 @@
 /// \file snapshot.h
 /// \brief Compacted point-in-time images of the manager state.
 ///
-/// A snapshot file reuses the wal's frame format (length | crc | payload)
-/// so the torn-tail scanner validates it too: a header record carries the
+/// A snapshot file reuses the wal's file header and frame format
+/// (length | crc32c | payload, record.h) so the torn-tail scanner
+/// validates it too: a header record carries the
 /// wal sequence number the image covers, followed by one record per pilot
 /// and unit. Snapshots are written atomically (tmp file + fsync + rename),
 /// so a crash mid-snapshot leaves the previous snapshot intact; a crash
@@ -23,7 +24,9 @@ class Snapshot {
 
   /// Loads `path` into `out`. Returns false (leaving `out` untouched) when
   /// the file is missing, torn, or structurally invalid — recovery then
-  /// falls back to a full wal replay.
+  /// falls back to a full wal replay. Throws pa::Error when the file
+  /// header names another format version: that file is not torn, and is
+  /// left as it is.
   static bool load(const std::string& path, ManagerImage* out);
 };
 

@@ -64,7 +64,8 @@ class Writer {
   /// joining the flusher (same contract as ThreadPool::shutdown).
   void close() PA_EXCLUDES(mutex_);
 
-  /// Empties the log file (after a snapshot made its contents redundant).
+  /// Empties the log file down to its file header (after a snapshot made
+  /// its records redundant).
   /// Pending records are flushed first; the seq counter keeps advancing.
   void truncate_log() PA_EXCLUDES(mutex_);
 
@@ -89,6 +90,9 @@ class Writer {
     obs::Histogram* batch_records = nullptr;
   };
 
+  /// Checks the file header of an existing file, or writes a fresh one
+  /// when the file is shorter than a header. Throws pa::Error.
+  void open_file_header() PA_REQUIRES(mutex_);
   void flusher_loop() PA_EXCLUDES(mutex_);
   /// Pops and encodes up to max_batch_records pending frames into one
   /// contiguous byte batch. Outputs the highest seq popped and the record

@@ -75,8 +75,11 @@
 namespace pa::net {
 
 /// The protocol version this build speaks — the only one it accepts.
-/// Bump on any change to the header, a body layout or the type table.
-inline constexpr std::uint8_t kProtocolVersion = 5;
+/// Bump on any change to the header, a body layout, the type table, the
+/// frame checksum or the object-id hash. Version 6: CRC-32C frames and
+/// chunks, XXH64 object ids. An older peer's frames already fail the
+/// frame CRC (wire.h) before this byte is read.
+inline constexpr std::uint8_t kProtocolVersion = 6;
 
 /// Values are wire identifiers; changing the table bumps kProtocolVersion.
 enum class MessageType : std::uint8_t {

@@ -1,15 +1,15 @@
 #pragma once
 /// \file wire.h
-/// \brief Byte-stream framing for pa::net: length-prefixed, CRC32-checked
-/// frames plus an incremental decoder that survives arbitrary packet
-/// boundaries.
+/// \brief Byte-stream framing for pa::net: length-prefixed, CRC-32C-
+/// checked frames plus an incremental decoder that survives arbitrary
+/// packet boundaries.
 ///
-/// Frame layout (little-endian, matching the journal's on-disk framing so
-/// both can be inspected with the same tooling):
+/// Frame layout (little-endian, the same as a journal record's):
 ///
-///     u32 payload_length | u32 crc32(payload) | payload bytes
+///     u32 payload_length | u32 crc32c(payload) | payload bytes
 ///
-/// The CRC is the journal's zlib-compatible CRC-32 (pa/journal/crc32.h).
+/// The CRC is the tree's one CRC-32C (pa/common/checksum.h). A frame from
+/// a peer checksumming with any other CRC fails the check and is refused.
 /// Unlike the journal — where a bad frame marks the torn tail of a crashed
 /// writer and everything before it is kept — a bad frame on a *stream* has
 /// no trustworthy resynchronization point (the peer is either buggy or

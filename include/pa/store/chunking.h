@@ -5,8 +5,8 @@
 ///
 /// Objects are immutable byte strings named by their content hash — the
 /// Pilot-Data "data unit" made concrete. An object travels and rests as a
-/// sequence of fixed-size chunks, each carrying its own CRC32 (the zlib-
-/// compatible journal polynomial) computed at the source shard. The CRC
+/// sequence of fixed-size chunks, each carrying its own CRC-32C
+/// (pa/common/checksum.h) computed at the source shard. The CRC
 /// rides inside the wire frame and is stored next to the chunk at rest,
 /// so one checksum covers the whole path: source memory -> wire -> peer
 /// shard -> spill file -> read-back. Frame-level CRC (wire.h) only covers
@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "pa/journal/crc32.h"
+#include "pa/common/checksum.h"
 
 namespace pa::store {
 
@@ -30,7 +30,7 @@ namespace pa::store {
 /// enough to amortize per-frame overhead on bulk transfers.
 inline constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
 
-/// One chunk of an object: payload plus the CRC32 computed at the source.
+/// One chunk of an object: payload plus the CRC-32C computed at the source.
 struct Chunk {
   std::string data;
   std::uint32_t crc = 0;
@@ -38,25 +38,19 @@ struct Chunk {
   bool operator==(const Chunk&) const = default;
 };
 
-/// CRC32 of a chunk payload (zlib-compatible, shared with the journal).
+/// CRC-32C of a chunk payload (the checksum frames and the journal use).
 inline std::uint32_t chunk_crc(const std::string& data) {
-  return journal::crc32(data.data(), data.size());
+  return crc32c(data.data(), data.size());
 }
 
-/// FNV-1a 64 parameters, shared by content hashing, transfer-token MACs
-/// and the incremental hash kept by Shard::StreamWriter.
-inline constexpr std::uint64_t kFnv64Basis = 14695981039346656037ULL;
-inline constexpr std::uint64_t kFnv64Prime = 1099511628211ULL;
-
-/// Content hash of an object: FNV-1a 64 over the bytes, rendered as
+/// Content hash of an object: XXH64 (seed 0) over the bytes, rendered as
 /// "o" + 16 hex digits. Deterministic across runs and platforms, so the
 /// same bytes always resolve to the same object id on every node — the
 /// property that makes replicas interchangeable and caching safe.
 std::string content_id(const std::string& bytes);
 
-/// Renders a finished FNV-1a 64 state as an object id ("o" + 16 hex).
-/// Lets streaming writers hash bytes incrementally — feeding every byte
-/// through h = (h ^ byte) * kFnv64Prime starting from kFnv64Basis — and
+/// Renders an XXH64 digest as an object id ("o" + 16 hex). Streaming
+/// writers feed their bytes through one pa::Xxh64 piece by piece and
 /// still land on exactly content_id(whole).
 std::string object_id_from_hash(std::uint64_t hash);
 

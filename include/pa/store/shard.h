@@ -241,7 +241,7 @@ class StreamWriter {
   bool done_ = false;
   std::string buffer_;        ///< the one partial chunk in memory
   std::vector<Chunk> chunks_;  ///< in-memory fallback only
-  std::uint64_t hash_;
+  Xxh64 hash_;               ///< content hash of every appended byte
   std::uint64_t total_ = 0;  ///< bytes sealed into chunks
   std::uint32_t count_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "pa/common/checksum.h"
 #include "pa/common/error.h"
 
 namespace pa::core {
@@ -29,21 +30,13 @@ int ShardRouter::trailing_ordinal(const std::string& id) {
   return value;
 }
 
-std::uint64_t ShardRouter::fnv1a(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 int ShardRouter::default_shard(const std::string& id) const {
   const int ordinal = trailing_ordinal(id);
   if (ordinal >= 0) {
     return ordinal % shards_;
   }
-  return static_cast<int>(fnv1a(id) % static_cast<std::uint64_t>(shards_));
+  return static_cast<int>(Xxh64::hash(id) %
+                          static_cast<std::uint64_t>(shards_));
 }
 
 int ShardRouter::shard_for_id(const std::string& id) const {
@@ -58,7 +51,8 @@ int ShardRouter::shard_for_id(const std::string& id) const {
 }
 
 int ShardRouter::shard_for_tenant(const std::string& tenant) const {
-  return static_cast<int>(fnv1a(tenant) % static_cast<std::uint64_t>(shards_));
+  return static_cast<int>(Xxh64::hash(tenant) %
+                          static_cast<std::uint64_t>(shards_));
 }
 
 void ShardRouter::pin(const std::string& id, int shard) {

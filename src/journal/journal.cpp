@@ -117,7 +117,7 @@ void Journal::compact_locked() {
   Snapshot::write(snapshot_path(dir_), image_);
   writer_->truncate_log();
   records_since_snapshot_ = 0;
-  applied_bytes_ = 0;  // the wal restarts empty
+  applied_bytes_ = kFileHeaderBytes;  // the wal restarts after its header
   if (metrics_ != nullptr) {
     metrics_->counter("journal.compactions").inc();
   }

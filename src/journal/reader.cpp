@@ -7,8 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "pa/common/checksum.h"
 #include "pa/common/error.h"
-#include "pa/journal/crc32.h"
 
 namespace pa::journal {
 
@@ -27,7 +27,7 @@ ReadResult scan(const char* data, std::size_t size) {
       break;  // frame runs past EOF (partial write) or is garbage
     }
     const char* payload = data + pos + kFrameHeaderBytes;
-    if (crc32(payload, length) != crc) {
+    if (crc32c(payload, length) != crc) {
       break;  // corrupt payload
     }
     Record record;
@@ -59,7 +59,19 @@ ReadResult read_journal(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string bytes = buffer.str();
-  return scan(bytes.data(), bytes.size());
+  if (bytes.size() < kFileHeaderBytes) {
+    // Crashed while creating the file: nothing was ever committed.
+    ReadResult result;
+    result.file_bytes = bytes.size();
+    result.torn = !bytes.empty();
+    return result;
+  }
+  check_file_header(bytes.data(), path);
+  ReadResult result = scan(bytes.data() + kFileHeaderBytes,
+                           bytes.size() - kFileHeaderBytes);
+  result.valid_bytes += kFileHeaderBytes;
+  result.file_bytes += kFileHeaderBytes;
+  return result;
 }
 
 void truncate_file(const std::string& path, std::uint64_t bytes) {

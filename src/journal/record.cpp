@@ -2,8 +2,8 @@
 
 #include <cstring>
 
+#include "pa/common/checksum.h"
 #include "pa/common/error.h"
-#include "pa/journal/crc32.h"
 #include "pa/obs/export.h"
 
 namespace pa::journal {
@@ -125,12 +125,37 @@ Record decode_payload(const char* data, std::size_t size) {
   return r;
 }
 
+void append_file_header(std::string& out) {
+  out.append(reinterpret_cast<const char*>(&kFileMagic), sizeof(kFileMagic));
+  out.append(reinterpret_cast<const char*>(&kFormatVersion),
+             sizeof(kFormatVersion));
+}
+
+void check_file_header(const char* header, const std::string& path) {
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::memcpy(&magic, header, sizeof(magic));
+  std::memcpy(&version, header + sizeof(magic), sizeof(version));
+  if (magic != kFileMagic) {
+    throw Error("journal file " + path +
+                " has no format header (format version 1, or not a journal);"
+                " this build reads only format version " +
+                std::to_string(kFormatVersion));
+  }
+  if (version != kFormatVersion) {
+    throw Error("journal file " + path + " has format version " +
+                std::to_string(version) +
+                "; this build reads only format version " +
+                std::to_string(kFormatVersion));
+  }
+}
+
 void append_frame(std::string& out, const Record& record) {
   const std::string payload = encode_payload(record);
   PA_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
                "journal record payload too large: " << payload.size());
   std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  std::uint32_t crc = crc32(payload.data(), payload.size());
+  std::uint32_t crc = crc32c(payload.data(), payload.size());
   out.append(reinterpret_cast<const char*>(&length), sizeof(length));
   out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
   out.append(payload);

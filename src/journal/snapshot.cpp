@@ -112,6 +112,7 @@ Record placement_to_record(const std::string& site,
 
 void Snapshot::write(const std::string& path, const ManagerImage& image) {
   std::string bytes;
+  append_file_header(bytes);
   std::uint64_t seq = 0;  // snapshot-file-local sequence (scanner invariant)
 
   Record header;

@@ -22,7 +22,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 Writer::Writer(std::string path, WriterConfig config, std::uint64_t first_seq)
     : path_(std::move(path)), config_(config) {
   PA_REQUIRE_ARG(first_seq >= 1, "journal seq numbers start at 1");
-  int flags = O_CREAT | O_WRONLY | O_CLOEXEC;
+  // Read-write: open_file_header() reads an existing header back.
+  int flags = O_CREAT | O_RDWR | O_CLOEXEC;
   flags |= config_.truncate_existing ? O_TRUNC : O_APPEND;
   {
     check::MutexLock lock(mutex_);
@@ -33,8 +34,38 @@ Writer::Writer(std::string path, WriterConfig config, std::uint64_t first_seq)
       throw Error("cannot open journal " + path_ + ": " +
                   errno_message(errno));
     }
+    try {
+      open_file_header();
+    } catch (...) {
+      ::close(fd_);
+      fd_ = -1;
+      throw;
+    }
   }
   flusher_ = std::thread([this]() { flusher_loop(); });
+}
+
+void Writer::open_file_header() {
+  char header[kFileHeaderBytes];
+  const ssize_t n = ::pread(fd_, header, sizeof(header), 0);
+  if (n < 0) {
+    throw Error("cannot read journal header of " + path_ + ": " +
+                errno_message(errno));
+  }
+  if (n == static_cast<ssize_t>(sizeof(header))) {
+    check_file_header(header, path_);  // never append to a foreign format
+    return;
+  }
+  // New, emptied, or cut short while being created: start it over.
+  std::string fresh;
+  append_file_header(fresh);
+  if (::ftruncate(fd_, 0) != 0 ||
+      ::pwrite(fd_, fresh.data(), fresh.size(), 0) !=
+          static_cast<ssize_t>(fresh.size()) ||
+      ::lseek(fd_, 0, SEEK_END) < 0) {
+    throw Error("cannot write journal header to " + path_ + ": " +
+                errno_message(errno));
+  }
 }
 
 Writer::~Writer() {
@@ -139,9 +170,10 @@ void Writer::truncate_log() {
   if (fd_ < 0) {
     throw InvalidStateError("truncate on closed journal writer " + path_);
   }
-  PA_CHECK_MSG(::ftruncate(fd_, 0) == 0,
+  // Keep the file header; only the records go.
+  PA_CHECK_MSG(::ftruncate(fd_, kFileHeaderBytes) == 0,
                "ftruncate failed on " << path_ << ": " << errno_message(errno));
-  PA_CHECK_MSG(::lseek(fd_, 0, SEEK_SET) >= 0,
+  PA_CHECK_MSG(::lseek(fd_, kFileHeaderBytes, SEEK_SET) >= 0,
                "lseek failed on " << path_);
 }
 

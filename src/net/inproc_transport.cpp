@@ -306,8 +306,12 @@ ConnectionPtr InProcTransport::connect(const std::string& endpoint,
   server->peer_ = client;
   // Acceptor runs outside the transport lock (it typically touches the
   // application's own state) and before either side is serviced, so no
-  // message can arrive ahead of the handlers.
+  // message can arrive ahead of the handlers. The dispatching_ guard makes
+  // a close() of `server` from another thread wait until the handlers are
+  // installed (as in TcpTransport's accept).
+  server->dispatching_.store(1);
   server->handlers_ = acceptor(server);
+  server->dispatching_.store(0);
   {
     check::MutexLock lock(impl_->mu);
     if (impl_->stopping) {

@@ -376,14 +376,30 @@ void TcpTransport::Impl::run() {
         set_nodelay(client);
         auto conn = std::make_shared<TcpConnection>(this, ConnectionHandlers{});
         conn->fd_ = client;
-        // Acceptor contract: runs on the I/O thread, may not close.
+        // Acceptor contract: runs on the I/O thread, may not close. The
+        // acceptor may hand `conn` to a thread that closes it at once;
+        // holding the dispatching_ guard until handlers_ is installed
+        // makes that close() wait, so its on_close reads the installed
+        // handlers, never a half-written std::function.
+        conn->dispatching_.store(1);
         conn->handlers_ = listener->on_accept(conn);
-        check::MutexLock lock(mu);
-        if (stopping) {
+        conn->dispatching_.store(0);
+        bool orphaned = false;
+        {
+          check::MutexLock lock(mu);
+          orphaned = stopping;
+          if (!orphaned) {
+            connections.push_back(conn);
+            conn_snapshot = connections;
+          }
+        }
+        if (orphaned) {
+          // stop() already took the connection list, so it will never
+          // see this one: close it here and break any handler→conn cycle.
+          conn->close();
+          conn->handlers_ = ConnectionHandlers();
           return;
         }
-        connections.push_back(std::move(conn));
-        conn_snapshot = connections;
       }
     }
 

@@ -2,8 +2,8 @@
 
 #include <cstring>
 
+#include "pa/common/checksum.h"
 #include "pa/common/error.h"
-#include "pa/journal/crc32.h"
 
 namespace pa::net {
 
@@ -12,7 +12,7 @@ void append_frame(std::string& out, const std::string& payload) {
                  "net frame payload too large: " << payload.size() << " > "
                                                  << kMaxFramePayloadBytes);
   const auto length = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = journal::crc32(payload.data(), payload.size());
+  const std::uint32_t crc = crc32c(payload.data(), payload.size());
   out.append(reinterpret_cast<const char*>(&length), sizeof(length));
   out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
   out.append(payload);
@@ -33,8 +33,7 @@ void end_frame(std::string& out, std::size_t body_start) {
                  "net frame payload too large: " << body_size << " > "
                                                  << kMaxFramePayloadBytes);
   const auto length = static_cast<std::uint32_t>(body_size);
-  const std::uint32_t crc =
-      journal::crc32(out.data() + body_start, body_size);
+  const std::uint32_t crc = crc32c(out.data() + body_start, body_size);
   char* head = out.data() + (body_start - kFrameHeaderBytes);
   std::memcpy(head, &length, sizeof(length));
   std::memcpy(head + sizeof(length), &crc, sizeof(crc));
@@ -82,7 +81,7 @@ FrameDecoder::Status FrameDecoder::next(std::string& payload) {
     return Status::kNeedMore;
   }
   const char* body = head + kFrameHeaderBytes;
-  if (journal::crc32(body, length) != crc) {
+  if (crc32c(body, length) != crc) {
     return fail("frame CRC mismatch");
   }
   payload.assign(body, length);

@@ -5,15 +5,9 @@
 namespace pa::store {
 
 std::string content_id(const std::string& bytes) {
-  // FNV-1a 64: deterministic, dependency-free, good dispersion for the
-  // directory's map keys. Not cryptographic — the store defends against
-  // corruption (CRC + hash re-check on assembly), not adversaries.
-  std::uint64_t h = kFnv64Basis;
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= kFnv64Prime;
-  }
-  return object_id_from_hash(h);
+  // Not cryptographic — the store defends against corruption (CRC + hash
+  // re-check on assembly), not adversaries.
+  return object_id_from_hash(Xxh64::hash(bytes));
 }
 
 std::string object_id_from_hash(std::uint64_t hash) {

@@ -12,7 +12,7 @@ namespace pa::store {
 namespace {
 
 constexpr std::uint32_t kSpillMagic = 0x50534150;  // "PASP"
-constexpr std::uint32_t kSpillVersion = 1;
+constexpr std::uint32_t kSpillVersion = 2;
 
 template <typename T>
 void write_pod(std::ofstream& out, T v) {
@@ -84,6 +84,7 @@ PutResult Shard::put_chunks(const std::string& object_id,
                             std::vector<Chunk> chunks,
                             std::uint64_t total_bytes) {
   std::uint64_t seen = 0;
+  Xxh64 hash;
   for (const Chunk& c : chunks) {
     if (chunk_crc(c.data) != c.crc) {
       check::MutexLock lock(mutex_);
@@ -91,8 +92,9 @@ PutResult Shard::put_chunks(const std::string& object_id,
       return PutResult{object_id, false, {}};
     }
     seen += c.data.size();
+    hash.update(c.data);
   }
-  if (seen != total_bytes || content_id(join_chunks(chunks)) != object_id) {
+  if (seen != total_bytes || object_id_from_hash(hash.digest()) != object_id) {
     check::MutexLock lock(mutex_);
     ++stats_.crc_failures;
     return PutResult{object_id, false, {}};
@@ -489,8 +491,7 @@ std::optional<Chunk> Shard::read_chunk_from_disk(const std::string& object_id,
 
 StreamWriter Shard::stream_writer() { return StreamWriter(*this); }
 
-StreamWriter::StreamWriter(Shard& shard)
-    : shard_(&shard), hash_(kFnv64Basis) {
+StreamWriter::StreamWriter(Shard& shard) : shard_(&shard) {
   buffer_.reserve(shard_->config_.chunk_bytes);
   if (shard_->config_.spill_dir.empty()) {
     return;  // in-memory fallback: chunks accumulate in chunks_
@@ -533,10 +534,7 @@ StreamWriter::~StreamWriter() {
 }
 
 void StreamWriter::append(std::string_view bytes) {
-  for (const char ch : bytes) {
-    hash_ ^= static_cast<unsigned char>(ch);
-    hash_ *= kFnv64Prime;
-  }
+  hash_.update(bytes);
   const std::size_t chunk_bytes = shard_->config_.chunk_bytes;
   while (!bytes.empty()) {
     const std::size_t take =
@@ -571,7 +569,7 @@ PutResult StreamWriter::finish() {
     seal_chunk();
   }
   done_ = true;
-  const std::string id = object_id_from_hash(hash_);
+  const std::string id = object_id_from_hash(hash_.digest());
   if (!disk_) {
     return shard_->admit(id, std::move(chunks_), total_);
   }

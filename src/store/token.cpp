@@ -2,11 +2,13 @@
 
 #include <cstring>
 
-#include "pa/store/chunking.h"
-
 namespace pa::store {
 
 namespace {
+
+// FNV-1a 64 parameters; the MAC is this file's only FNV user.
+constexpr std::uint64_t kFnv64Basis = 14695981039346656037ULL;
+constexpr std::uint64_t kFnv64Prime = 1099511628211ULL;
 
 // Strings are length-prefixed before hashing so mac(key, fields) never
 // collides with mac(key', fields) for a different-length key sharing a

@@ -5,8 +5,8 @@
 #include <sstream>
 #include <string>
 
+#include "pa/common/checksum.h"
 #include "pa/common/error.h"
-#include "pa/journal/crc32.h"
 #include "pa/journal/reader.h"
 
 namespace pa::journal {
@@ -105,10 +105,10 @@ TEST(JournalRecord, ScanStopsAtNonMonotonicSeq) {
 }
 
 TEST(JournalRecord, Crc32MatchesKnownVectors) {
-  // Standard zlib/PNG CRC-32 check values.
-  EXPECT_EQ(crc32("", 0), 0x00000000u);
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(crc32("a", 1), 0xE8B7BE43u);
+  // CRC-32C (Castagnoli) check values: records are checksummed with it.
+  EXPECT_EQ(crc32c("", 0), 0x00000000u);
+  EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32c("a", 1), 0xC1D04330u);
 }
 
 TEST(JournalRecord, JsonlEscapesAndLabels) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "pa/rt/sim_runtime.h"
 #include "pa/saga/session.h"
 
+#include "../legacy_crc32.h"
 #include "journal_test_util.h"
 
 namespace pa::journal {
@@ -295,6 +299,142 @@ TEST_F(RecoveryTest, RequeueBoundFailsPoisonUnit) {
   EXPECT_EQ(u.attempts, 3);
   EXPECT_EQ(u.state, core::UnitState::kFailed);
   EXPECT_EQ(u.terminal_count, 1);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Frames `records` the way journal format 1 did: IEEE CRC-32, no file
+/// header.
+std::string format_one_bytes(const std::vector<Record>& records) {
+  std::string out;
+  for (const Record& r : records) {
+    const std::string payload = encode_payload(r);
+    const auto length = static_cast<std::uint32_t>(payload.size());
+    const std::uint32_t crc =
+        legacy_format::legacy_ieee_crc32(payload.data(), payload.size());
+    out.append(reinterpret_cast<const char*>(&length), sizeof(length));
+    out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    out.append(payload);
+  }
+  return out;
+}
+
+/// Runs recover() on `dir` and returns the pa::Error it must throw.
+std::string recover_error(const std::string& dir) {
+  RecoveryCoordinator coordinator(dir);
+  try {
+    coordinator.recover();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "recover() accepted a file in another format";
+  return "";
+}
+
+TEST_F(RecoveryTest, FormatOneWalIsRefusedAndLeftByteIdentical) {
+  {
+    World w(dir_.path());
+    w.service->submit_pilot(pilot_desc());
+    for (int i = 0; i < 4; ++i) {
+      w.service->submit_unit(unit_desc(5.0));
+    }
+    w.service->wait_all_units();
+  }
+  const std::string wal = Journal::wal_path(dir_.path());
+  const ReadResult current = read_journal(wal);
+  ASSERT_GT(current.records.size(), 4u);
+  const std::string old = format_one_bytes(current.records);
+  write_bytes(wal, old);
+
+  const std::string what = recover_error(dir_.path());
+  EXPECT_NE(what.find("format version 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("format version 2"), std::string::npos) << what;
+  // Refused, not truncated as a torn tail.
+  EXPECT_EQ(read_bytes(wal), old);
+  // A writer will not append to it either.
+  EXPECT_THROW(Writer{wal}, Error);
+  EXPECT_EQ(read_bytes(wal), old);
+}
+
+TEST_F(RecoveryTest, FormatOneSnapshotIsRefusedAndLeftByteIdentical) {
+  {
+    World w(dir_.path());
+    w.service->submit_pilot(pilot_desc());
+    w.service->submit_unit(unit_desc(5.0));
+    w.service->wait_all_units();
+    w.journal->compact();
+  }
+  const std::string snapshot = Journal::snapshot_path(dir_.path());
+  const std::string wal = Journal::wal_path(dir_.path());
+  const ReadResult current = read_journal(snapshot);
+  ASSERT_GT(current.records.size(), 1u);
+  const std::string old = format_one_bytes(current.records);
+  write_bytes(snapshot, old);
+  const std::string wal_before = read_bytes(wal);
+
+  const std::string what = recover_error(dir_.path());
+  EXPECT_NE(what.find("format version 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("format version 2"), std::string::npos) << what;
+  EXPECT_EQ(read_bytes(snapshot), old);
+  EXPECT_EQ(read_bytes(wal), wal_before);
+}
+
+TEST_F(RecoveryTest, WalWithAnotherHeaderVersionIsRefused) {
+  {
+    World w(dir_.path());
+    w.service->submit_pilot(pilot_desc());
+    w.service->submit_unit(unit_desc(5.0));
+    w.service->wait_all_units();
+  }
+  const std::string wal = Journal::wal_path(dir_.path());
+  std::string bytes = read_bytes(wal);
+  const std::uint32_t future = kFormatVersion + 1;
+  bytes.replace(sizeof(kFileMagic), sizeof(future),
+                reinterpret_cast<const char*>(&future), sizeof(future));
+  write_bytes(wal, bytes);
+
+  const std::string what = recover_error(dir_.path());
+  EXPECT_NE(what.find("format version " + std::to_string(future)),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("format version " + std::to_string(kFormatVersion)),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(read_bytes(wal), bytes);
+}
+
+TEST_F(RecoveryTest, WalShorterThanHeaderIsATornCreation) {
+  const std::string wal = Journal::wal_path(dir_.path());
+  std::string header;
+  append_file_header(header);
+  write_bytes(wal, header.substr(0, 5));
+
+  RecoveryCoordinator coordinator(dir_.path());
+  const RecoveryResult result = coordinator.recover();
+  EXPECT_TRUE(result.torn_tail);
+  EXPECT_EQ(result.truncated_bytes, 5u);
+  EXPECT_EQ(result.records_replayed, 0u);
+  EXPECT_EQ(read_bytes(wal), "");
+
+  // A journal opened on it starts a fresh, well-formed wal.
+  {
+    World w(dir_.path());
+    w.service->submit_pilot(pilot_desc());
+    w.service->wait_all_units();
+  }
+  const ReadResult reread = read_journal(wal);
+  EXPECT_FALSE(reread.torn);
+  EXPECT_GT(reread.records.size(), 0u);
+  EXPECT_EQ(read_bytes(wal).compare(0, header.size(), header), 0);
 }
 
 }  // namespace

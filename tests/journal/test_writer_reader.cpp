@@ -184,8 +184,10 @@ TEST_F(WriterReaderTest, TornTailDetectedAtEveryByteOfFinalRecord) {
   }
   const std::string full = slurp(path);
 
-  // Locate the byte where the final record's frame begins.
+  // Locate the byte where the final record's frame begins: the file
+  // header, then three frames.
   std::string prefix3;
+  append_file_header(prefix3);
   for (std::uint64_t i = 0; i < 3; ++i) {
     Record r = make_record(i);
     r.seq = i + 1;
@@ -193,7 +195,7 @@ TEST_F(WriterReaderTest, TornTailDetectedAtEveryByteOfFinalRecord) {
   }
   ASSERT_LT(prefix3.size(), full.size());
   ASSERT_EQ(full.compare(0, prefix3.size(), prefix3), 0)
-      << "writer output is not the concatenation of its frames";
+      << "writer output is not the file header plus its frames";
 
   for (std::size_t cut = prefix3.size(); cut < full.size(); ++cut) {
     const std::string cut_path = dir_.file("cut");

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,12 +37,17 @@ struct EchoServer {
   AcceptHandler acceptor() {
     return [this](const ConnectionPtr& conn) {
       ConnectionHandlers h;
-      h.on_message = [this, conn](const std::string& payload) {
+      // A weak capture: the connection owns this handler, so a strong one
+      // would be a shared_ptr cycle.
+      h.on_message = [this, weak = std::weak_ptr<Connection>(conn)](
+                         const std::string& payload) {
         {
           check::MutexLock lock(mu_);
           received_.push_back(payload);
         }
-        conn->send(framed("echo:" + payload));
+        if (const ConnectionPtr conn = weak.lock()) {
+          conn->send(framed("echo:" + payload));
+        }
       };
       h.on_close = [this]() { closes_.fetch_add(1); };
       return h;

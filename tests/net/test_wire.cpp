@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "../legacy_crc32.h"
+#include "pa/common/checksum.h"
 #include "pa/common/error.h"
 #include "pa/net/wire.h"
 
@@ -43,6 +46,36 @@ TEST(Wire, RoundTripSingleFrame) {
   EXPECT_EQ(decoder.next(out), FrameDecoder::Status::kNeedMore);
   EXPECT_FALSE(decoder.failed());
   EXPECT_EQ(decoder.buffered(), 0u);
+}
+
+TEST(Wire, FrameChecksumIsCrc32c) {
+  const std::string payload = "123456789";
+  const std::string stream = frame_of(payload);
+  std::uint32_t crc = 0;
+  std::memcpy(&crc, stream.data() + sizeof(std::uint32_t), sizeof(crc));
+  EXPECT_EQ(crc, 0xE3069283u);
+  EXPECT_EQ(crc, crc32c(payload.data(), payload.size()));
+}
+
+// A protocol-5 peer framed with the IEEE CRC-32; its first frame must be
+// refused at the frame layer, before any payload byte is trusted.
+TEST(Wire, FrameWithLegacyIeeeCrcIsRejected) {
+  const std::string payload = "kHello from a protocol-5 agent";
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc =
+      legacy_format::legacy_ieee_crc32(payload.data(), payload.size());
+  std::string stream;
+  stream.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  stream.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  stream.append(payload);
+
+  FrameDecoder decoder;
+  decoder.feed(stream.data(), stream.size());
+  std::string out;
+  EXPECT_EQ(decoder.next(out), FrameDecoder::Status::kError);
+  EXPECT_TRUE(decoder.failed());
+  EXPECT_NE(decoder.error().find("CRC"), std::string::npos) << decoder.error();
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Wire, EmptyPayloadRoundTrips) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "pa/common/rng.h"
 #include "pa/store/chunking.h"
 #include "pa/store/shard.h"
 
@@ -51,6 +52,12 @@ TEST(Chunking, ContentIdIsDeterministicAndWellFormed) {
   EXPECT_FALSE(is_object_id("du-1"));
   EXPECT_FALSE(is_object_id("o123"));
   EXPECT_TRUE(is_object_id(content_id("")));
+}
+
+TEST(Chunking, ContentIdIsXxh64) {
+  EXPECT_EQ(content_id(""), "oef46db3751d8e999");
+  EXPECT_EQ(content_id("a"), "od24ec4f1a98c6e5b");
+  EXPECT_EQ(content_id("abc"), "o44bc2cf5ad770999");
 }
 
 TEST(Chunking, SplitJoinRoundTrips) {
@@ -332,6 +339,52 @@ TEST(Shard, StreamWriterWithoutSpillDirFallsBackToMemory) {
   ASSERT_TRUE(r.stored);
   EXPECT_EQ(r.object_id, content_id(bytes));
   EXPECT_EQ(shard.get(r.object_id).value_or(""), bytes);
+}
+
+// The streaming hash must name an object exactly as content_id(whole)
+// does, however the bytes are cut: 1-byte appends, pieces that straddle
+// XXH64's 32-byte stripes, and pieces that straddle chunk boundaries
+// (100-byte chunks are not a multiple of 32).
+TEST(Shard, StreamWriterIdMatchesContentIdAtAnySplit) {
+  TempDir dir;
+  const std::string bytes = pattern_bytes(1000, 9);
+  const std::string want = content_id(bytes);
+  pa::Rng rng(23);
+  for (const bool spill : {false, true}) {
+    ShardConfig config;
+    config.chunk_bytes = 100;
+    if (spill) {
+      config.spill_dir = dir.path();
+    }
+    Shard shard(config);
+
+    StreamWriter bytewise = shard.stream_writer();
+    for (const char c : bytes) {
+      bytewise.append(std::string_view(&c, 1));
+    }
+    EXPECT_EQ(bytewise.finish().object_id, want) << "spill=" << spill;
+
+    StreamWriter straddling = shard.stream_writer();
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{31},
+                                  std::size_t{33}, std::size_t{99},
+                                  std::size_t{101}, std::size_t{1000}}) {
+      const std::size_t at = straddling.bytes_streamed();
+      straddling.append(std::string_view(bytes).substr(at, cut - at));
+    }
+    EXPECT_EQ(straddling.finish().object_id, want) << "spill=" << spill;
+
+    for (int trial = 0; trial < 50; ++trial) {
+      StreamWriter w = shard.stream_writer();
+      while (w.bytes_streamed() < bytes.size()) {
+        const auto n = static_cast<std::size_t>(rng.uniform_int(0, 150));
+        w.append(std::string_view(bytes).substr(w.bytes_streamed(), n));
+      }
+      const PutResult r = w.finish();
+      ASSERT_TRUE(r.stored);
+      ASSERT_EQ(r.object_id, want) << "spill=" << spill << " trial=" << trial;
+    }
+    EXPECT_EQ(shard.get(want).value_or(""), bytes) << "spill=" << spill;
+  }
 }
 
 TEST(Shard, AbandonedStreamWriterLeavesNoTempFile) {
