@@ -46,6 +46,12 @@ void bench_framing(Table& table, std::size_t payload_bytes, int frames) {
   const std::string payload(payload_bytes, 'x');
   std::string stream;
   stream.reserve((payload_bytes + net::kFrameHeaderBytes) * frames);
+  // An untimed pass first: it faults in every page of the buffer, so the
+  // timed pass measures framing, not the kernel's first-touch page faults.
+  for (int i = 0; i < frames; ++i) {
+    net::append_frame(stream, payload);
+  }
+  stream.clear();  // keeps the touched capacity
 
   Stopwatch encode_watch;
   for (int i = 0; i < frames; ++i) {
@@ -228,32 +234,24 @@ struct Farm {
   std::vector<std::unique_ptr<rt::AgentEndpoint>> agents PA_GUARDED_BY(mu);
 };
 
-/// Knobs for the batching layer (E14e sweeps them; everything else uses
-/// the shipped defaults).
-struct RemoteBenchOptions {
-  net::BatchFlusherConfig flusher;  ///< manager dispatch + agent outbox
-  int dispatch_window_factor = 4;
-};
-
+/// `window_factor` is the manager's dispatch_window_factor (E14e sweeps
+/// it; everything else uses the shipped defaults).
 Throughput bench_remote(net::Transport& transport,
                         const std::string& listen_endpoint, int cores,
                         int units, obs::MetricsRegistry* metrics,
                         double* heartbeat_wait_s = nullptr,
-                        const RemoteBenchOptions& options = {}) {
+                        int window_factor = 4) {
   Farm farm(transport);
   rt::RemoteRuntimeConfig config;
   config.listen_endpoint = listen_endpoint;
   config.heartbeat_interval_seconds = 0.05;
   config.metrics = metrics;
-  config.flusher = options.flusher;
-  config.dispatch_window_factor = options.dispatch_window_factor;
+  config.dispatch_window_factor = window_factor;
   std::unique_ptr<rt::RemoteRuntime> runtime;
   config.launcher = [&](const std::string& pilot_id,
                         const std::string& endpoint) {
-    rt::AgentEndpointConfig agent_config;
-    agent_config.flusher = options.flusher;
     auto agent = std::make_unique<rt::AgentEndpoint>(
-        transport, endpoint, pilot_id, runtime->payloads(), agent_config);
+        transport, endpoint, pilot_id, runtime->payloads());
     check::MutexLock lock(farm.mu);
     farm.agents.push_back(std::move(agent));
   };
@@ -375,8 +373,8 @@ int main(int argc, char** argv) {
   // per configuration; the baseline takes the median (robust against a
   // lucky spike inflating the denominator) and the remote side takes the
   // best (contention noise is one-sided downward — the gate measures
-  // protocol capability, and a real regression to the per-unit protocol
-  // is a 2× drop that no trial recovers).
+  // protocol capability, and a real regression in the dispatch path
+  // shows in every trial).
   const auto median3 = [](double a, double b, double c) {
     return std::max(std::min(a, b), std::min(std::max(a, b), c));
   };
@@ -433,34 +431,21 @@ int main(int argc, char** argv) {
   }
   e2e.print(std::cout);
 
-  // 3b. Sensitivity of the bulk protocol: how units/s over InProc responds
-  // to the flusher's batch bound and the manager's dispatch-window depth.
-  // max_batch=1 approximates the old one-message-per-unit protocol;
+  // 3b. Sensitivity to the manager's dispatch-window depth over InProc:
   // window_factor=1 caps in-flight work at the agent's core count.
-  Table sweep("E14e: batching sensitivity, remote/inproc units/s");
-  sweep.set_columns({Column{"max_batch", 0, true},
-                     Column{"window_factor", 0, true},
+  Table sweep("E14e: dispatch-window sensitivity, remote/inproc units/s");
+  sweep.set_columns({Column{"window_factor", 0, true},
                      Column{"units_per_s", 0, true},
                      Column{"vs_local_pct", 1, true}});
-  struct SweepPoint {
-    std::size_t max_batch;
-    int window_factor;
-  };
-  const SweepPoint points[] = {
-      {1, 4}, {8, 4}, {32, 4}, {128, 4}, {32, 1}, {32, 16}};
-  for (const SweepPoint& p : points) {
-    RemoteBenchOptions options;
-    options.flusher.max_batch = p.max_batch;
-    options.dispatch_window_factor = p.window_factor;
+  for (const int window_factor : {1, 4, 16}) {
     net::InProcTransport transport;
-    std::cerr << "  [sweep] max_batch=" << p.max_batch
-              << " window_factor=" << p.window_factor << "..." << std::flush;
+    std::cerr << "  [sweep] window_factor=" << window_factor << "..."
+              << std::flush;
     Throughput t = bench_remote(transport, "inproc://sweep", cores, units,
-                                nullptr, nullptr, options);
+                                nullptr, nullptr, window_factor);
     std::cerr << " " << static_cast<std::int64_t>(t.units_per_s)
               << " units/s\n";
-    sweep.add_row({static_cast<std::int64_t>(p.max_batch),
-                   static_cast<std::int64_t>(p.window_factor), t.units_per_s,
+    sweep.add_row({static_cast<std::int64_t>(window_factor), t.units_per_s,
                    100.0 * t.units_per_s / local_rate});
     transport.stop();
   }

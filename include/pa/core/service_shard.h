@@ -80,6 +80,9 @@ class ServiceShard {
                std::atomic<std::int64_t>& in_transit_units,
                std::function<std::string()> next_pilot_id);
 
+  /// Stops the control plane (joining the apply thread) even when a late
+  /// runtime callback still holds it.
+  ~ServiceShard() { stop(); }
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
@@ -247,9 +250,11 @@ class ServiceShard {
                                        "core::ServiceShard"};
   std::shared_ptr<ReadModel> model_ PA_GUARDED_BY(snapshot_mutex_);
 
-  /// Declared last: destroyed first, joining the apply thread while the
-  /// state it references is still alive.
-  std::unique_ptr<Ctrl> ctrl_;
+  /// Shared with the runtime callbacks, so a callback that fires after
+  /// the shard is gone posts into a stopped plane, which drops the
+  /// command. Nothing the plane touches after stop() points into the
+  /// shard: its clock reads the runtime.
+  std::shared_ptr<Ctrl> ctrl_;
 };
 
 }  // namespace pa::core

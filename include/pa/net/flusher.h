@@ -1,168 +1,102 @@
 #pragma once
 /// \file flusher.h
-/// \brief Adaptive message batcher for the pilot wire protocol, modeled on
-/// the journal's group-commit writer (pa/journal/writer.h).
+/// \brief Chunk pump for the pilot wire protocol: a background thread that
+/// drains queued messages into a sink and re-offers what the sink could
+/// not deliver.
 ///
-/// `push()` enqueues a protocol message and returns — the hot path never
-/// encodes or touches a transport. A background flusher thread drains the
-/// pending buffer in batches and hands each batch to the caller-supplied
-/// sink, which encodes the messages (arena-backed, wire.h begin_frame/
-/// end_frame) and ships them with one `Connection::send_gather` call.
-/// Exactly as group commit amortizes fsync, this amortizes the per-message
-/// wakeup, syscall, and allocation cost over the batch — the mechanism
-/// behind kUnitBatch / kUnitDoneBatch coalescing on both ends of the
-/// manager↔agent channel.
+/// `push()` enqueues a protocol message and returns; the pusher never
+/// encodes or touches a transport. The pump thread wakes whenever messages
+/// are pending, hands up to `max_batch` of them to the caller-supplied
+/// sink, and goes back for more. Batches form only from the backlog that
+/// builds while the sink runs. Unit and control frames do not use this
+/// class: they go straight to `Connection::send`. It carries chunk streams
+/// and bulk store replies, where a retry timer is worth a thread: the
+/// store's TransferScheduler, agent-to-agent peer channels and an agent's
+/// replies to kObjPut/kObjGet.
 ///
 /// The sink returns the messages it could NOT deliver (e.g. the transport
-/// send queue rejected the gather). Retained messages are put back at the
-/// front of the pending buffer, order preserved, and retried after a short
-/// backoff — this is the buffer-and-retry path that replaces the old
-/// fire-and-forget `(void)conn_->send(...)` on the agent completion path.
-/// Only `close()` may drop messages (one final delivery attempt is made
-/// first); drops are counted and observable via `dropped_on_close()`.
+/// send queue rejected them). Retained messages are put back at the front
+/// of the pending buffer, order preserved, and retried after
+/// `retry_delay_seconds`. A sink that retains a message on purpose gets a
+/// timer out of it: TransferScheduler keeps one prefetched chunk unsent to
+/// come back after the backoff. Only `close()` may drop messages (one final
+/// delivery attempt is made first); drops are counted in
+/// `dropped_on_close()`.
 ///
 /// Threading: one internal mutex (LockRank::kNetFlusher) guards the
 /// pending buffer only. The sink always runs with that lock dropped, so it
 /// may freely acquire runtime/transport/connection locks (ranks 14+).
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "pa/check/mutex.h"
 #include "pa/net/message.h"
-#include "pa/obs/metrics.h"
 
 namespace pa::net {
 
-/// Why a batch was handed to the sink. Exported as per-reason counters
-/// (net.flush_size / net.flush_time / net.flush_eager / net.flush_close /
-/// net.flush_explicit) when a metrics registry is attached.
-enum class FlushReason {
-  kSize,      ///< pending reached max_batch
-  kTime,      ///< oldest pending message aged past max_delay_seconds
-  kEager,     ///< eager mode: flusher was idle, work arrived
-  kClose,     ///< final flush during close()
-  kExplicit,  ///< kick()/flush() forced it
-};
-
-const char* to_string(FlushReason r);
-
 struct BatchFlusherConfig {
-  /// Max messages per sink invocation. Also the size-trigger threshold.
-  /// 32 is the E14e sweet spot: large enough to amortize framing, small
-  /// enough that a frame never monopolizes the send queue or the agent's
-  /// dispatch window.
+  /// Max messages per sink invocation.
   std::size_t max_batch = 32;
-  /// In non-eager mode, flush when the oldest pending message has waited
-  /// this long even if the batch is not full.
-  double max_delay_seconds = 0.0005;
   /// Backoff before retrying messages the sink retained.
   double retry_delay_seconds = 0.001;
-  /// Eager mode (default, the journal-writer discipline): flush whenever
-  /// the flusher is idle and work is pending — batches form naturally from
-  /// the backlog that accumulates while the sink runs, so an idle system
-  /// gets per-message latency and a loaded one gets deep batches with no
-  /// tuning. Non-eager mode waits for size or time triggers; useful in
-  /// tests and when the sink has high fixed cost.
-  bool eager = true;
 };
 
-/// Thread-safe adaptive batcher. All methods may be called from any
-/// thread; `close()` (or destruction) makes a final delivery attempt and
-/// joins the flusher thread.
+/// Thread-safe pump. All methods may be called from any thread; `close()`
+/// (or destruction) makes a final delivery attempt and joins the thread.
 class BatchFlusher {
  public:
-  /// Delivers one batch. Runs on the flusher thread with no BatchFlusher
-  /// lock held. Returns the messages that could not be delivered, in their
-  /// original order; they are re-queued ahead of newer messages and
-  /// retried after `retry_delay_seconds`.
+  /// Delivers one batch. Runs on the pump thread with no BatchFlusher lock
+  /// held; `closing` is true only for the final attempt made by close(),
+  /// whose retained messages are dropped instead of retried. Returns the
+  /// messages that could not be delivered, in their original order; they
+  /// are re-queued ahead of newer messages and retried after
+  /// `retry_delay_seconds`.
   using Sink =
-      std::function<std::vector<Message>(std::vector<Message>, FlushReason)>;
+      std::function<std::vector<Message>(std::vector<Message>, bool closing)>;
 
-  /// `metrics` may be nullptr; when set it must outlive this flusher.
-  /// Exports the "net.batch_size" histogram, per-reason flush counters,
-  /// and "net.flush_retried" / "net.flush_dropped_on_close" counters.
-  /// Instrument handles are resolved once here so the flush path never
-  /// takes the registry lock.
-  explicit BatchFlusher(Sink sink, BatchFlusherConfig config = {},
-                        obs::MetricsRegistry* metrics = nullptr);
+  explicit BatchFlusher(Sink sink, BatchFlusherConfig config = {});
   ~BatchFlusher();
 
   BatchFlusher(const BatchFlusher&) = delete;
   BatchFlusher& operator=(const BatchFlusher&) = delete;
 
   /// Enqueues a message. After close() began, the message is dropped and
-  /// counted in dropped_on_close() — matching the connection contract that
+  /// counted in dropped_on_close(), matching the connection contract that
   /// a closing endpoint stops transmitting.
   void push(Message message) PA_EXCLUDES(mutex_);
 
-  /// Requests an immediate flush of whatever is pending; returns without
-  /// waiting. An empty pending buffer makes this a no-op.
-  void kick() PA_EXCLUDES(mutex_);
-
-  /// Best-effort blocking flush: kicks, then waits until the pending
-  /// buffer is empty — or until the flusher has completed two full
-  /// delivery cycles, whichever comes first. The cycle bound keeps flush()
-  /// from hanging forever on a sink that keeps rejecting (a dead
-  /// connection); callers that need certainty check dropped/pending after.
-  void flush() PA_EXCLUDES(mutex_);
-
-  /// Final flush (reason kClose, retries skipped), then drops whatever the
-  /// sink still rejects and joins the flusher thread. Idempotent; a
-  /// concurrent second caller may return before the first finishes joining
-  /// (same contract as journal::Writer::close).
+  /// Final delivery attempt (`closing` set), then drops whatever the sink
+  /// still rejects and joins the pump thread. Idempotent; a concurrent
+  /// second caller may return before the first finishes joining (same
+  /// contract as journal::Writer::close).
   void close() PA_EXCLUDES(mutex_);
 
   /// Messages dropped because they were pushed after close() began or
-  /// remained undeliverable through the final flush.
+  /// remained undeliverable through the final attempt.
   std::uint64_t dropped_on_close() const PA_EXCLUDES(mutex_);
-  /// Messages the sink retained and the flusher re-queued for retry.
+  /// Messages the sink retained and the pump re-queued for retry.
   std::uint64_t retried() const PA_EXCLUDES(mutex_);
-  /// Messages currently buffered (pending, not mid-sink).
-  std::size_t pending() const PA_EXCLUDES(mutex_);
 
  private:
-  /// Pre-resolved instrument handles (null when detached).
-  struct MetricsHandles {
-    obs::Histogram* batch_size = nullptr;
-    obs::Counter* flush_size = nullptr;
-    obs::Counter* flush_time = nullptr;
-    obs::Counter* flush_eager = nullptr;
-    obs::Counter* flush_close = nullptr;
-    obs::Counter* flush_explicit = nullptr;
-    obs::Counter* retried = nullptr;
-    obs::Counter* dropped_on_close = nullptr;
-
-    obs::Counter* reason_counter(FlushReason r) const;
-  };
-
-  void flusher_loop() PA_EXCLUDES(mutex_);
+  void pump_loop() PA_EXCLUDES(mutex_);
 
   const Sink sink_;
   const BatchFlusherConfig config_;
-  const MetricsHandles metrics_;
 
   mutable check::Mutex mutex_{check::LockRank::kNetFlusher,
                               "net::BatchFlusher"};
-  check::CondVar work_cv_;  ///< flusher wakeups
-  check::CondVar done_cv_;  ///< flush() waiters, notified per cycle
+  check::CondVar work_cv_;  ///< pump wakeups
   std::deque<Message> pending_ PA_GUARDED_BY(mutex_);
-  /// When the oldest message in pending_ arrived (time-trigger anchor).
-  std::chrono::steady_clock::time_point oldest_ PA_GUARDED_BY(mutex_);
-  bool kick_ PA_GUARDED_BY(mutex_) = false;
   bool draining_ PA_GUARDED_BY(mutex_) = false;  ///< sink call in progress
   bool closing_ PA_GUARDED_BY(mutex_) = false;
-  bool closed_ PA_GUARDED_BY(mutex_) = false;
-  std::uint64_t cycles_ PA_GUARDED_BY(mutex_) = 0;  ///< completed sink calls
   std::uint64_t dropped_on_close_ PA_GUARDED_BY(mutex_) = 0;
   std::uint64_t retried_ PA_GUARDED_BY(mutex_) = 0;
 
-  std::thread flusher_;
+  std::thread pump_;
 };
 
 }  // namespace pa::net

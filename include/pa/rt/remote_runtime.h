@@ -37,6 +37,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,16 +79,11 @@ struct AgentEndpointConfig {
   LocalRuntimeConfig local;
   /// Local unit-queue capacity = queue_factor × pilot cores. The agent
   /// advertises `capacity − queued − running` as its window in every
-  /// kUnitDoneBatch, so the manager ships batches sized to real headroom.
-  /// This caps the manager→agent pipeline depth: short units need depth
-  /// to cover the wire round-trip, so the agent keeps several batches of
-  /// queued work per slot.
+  /// kUnitDoneBatch. Keep it at least the manager's
+  /// `dispatch_window_factor`: the manager's credits then never let the
+  /// agent hold more than its capacity.
   int queue_factor = 16;
-  /// Completion-outbox flusher (group-commit batching of completions
-  /// into kUnitDoneBatch frames).
-  net::BatchFlusherConfig flusher;
-  /// Optional: exports net.batch_size / flush-reason counters plus
-  /// net.agent_send_rejected. Must outlive the endpoint.
+  /// Optional: exports net.agent_send_rejected. Must outlive the endpoint.
   obs::MetricsRegistry* metrics = nullptr;
   /// The pilot's store shard (pa::store data plane). Give it a
   /// memory_capacity_bytes / spill_dir to exercise the LRU tier; the
@@ -104,10 +100,17 @@ struct AgentEndpointConfig {
 /// Late binding (the RADICAL-Pilot bulk-dispatch discipline): units
 /// arrive in kUnitBatch frames and land in a local queue; a small
 /// scheduler binds them to LocalRuntime slots as cores free up, so the
-/// manager round-trip is off the per-unit critical path. Completions ride
-/// a BatchFlusher outbox that coalesces them into kUnitDoneBatch frames
-/// and — unlike the old fire-and-forget send — retries frames the
-/// transport rejects under backpressure.
+/// manager round-trip is off the per-unit critical path. Each completion
+/// goes from the worker thread that finished the unit straight to
+/// `Connection::send` as a one-completion kUnitDoneBatch; the transport's
+/// I/O thread batches whatever backlog it finds. Control frames (hello,
+/// active, terminated, kPeerDone, a peer pull's kObjLocate) take the same
+/// path. A frame the transport rejects under backpressure is parked, and
+/// so is every frame after it, in FIFO order; the park is retried on the
+/// next send, on every frame from the manager, and after the kHello of a
+/// reconnect. Replies to kObjPut/kObjGet (kObjChunk streams and kObjLocate
+/// announces, one per object put) are bulk traffic produced on the
+/// delivery thread and ride a BatchFlusher pump on the manager connection.
 ///
 /// Peer channel: every agent also listens on its own endpoint and
 /// publishes the resolved address in kHello. The manager brokers bulk
@@ -140,10 +143,12 @@ class AgentEndpoint {
   /// agent is the dialing side).
   net::ConnectionStats stats() const { return conn_->stats(); }
 
-  /// Completions dropped at teardown (undeliverable through the final
-  /// flush); the manager's orphan requeue covers them.
-  std::uint64_t completions_dropped() const {
-    return outbox_.dropped_on_close();
+  /// Frames dropped at teardown (still parked after the destructor's final
+  /// attempt, or produced after it); the manager's orphan requeue covers
+  /// lost completions.
+  std::uint64_t frames_dropped() const PA_EXCLUDES(park_mu_) {
+    check::MutexLock lock(park_mu_);
+    return frames_dropped_;
   }
 
   /// The pilot's store shard (direct access for tests/telemetry).
@@ -160,7 +165,8 @@ class AgentEndpoint {
     std::size_t outstanding = 0;  ///< units running in the LocalRuntime
     std::int32_t slots = 0;       ///< pilot cores (0 until kPilotActive)
     std::int32_t window = 0;      ///< headroom advertised to the manager
-    std::size_t outbox_pending = 0;  ///< completions awaiting a flush
+    std::size_t held_hwm = 0;     ///< most units ever queued + running
+    std::size_t parked = 0;       ///< frames awaiting a transport retry
   };
   SchedulerStats scheduler_stats() const;
 
@@ -204,7 +210,7 @@ class AgentEndpoint {
   std::unique_ptr<net::BatchFlusher> make_peer_flusher(net::ConnectionPtr conn);
   /// Delivery-thread entry for frames on a peer connection: routes both
   /// directions through StoreAgent::handle_peer, replies to the peer on
-  /// its channel flusher and to the manager on the main outbox.
+  /// its channel flusher and to the manager through send().
   void handle_peer_message(const std::weak_ptr<PeerChannel>& channel,
                            const std::string& payload);
   /// kXferToken at the destination: start the pull, dial the source,
@@ -217,14 +223,18 @@ class AgentEndpoint {
   void pump();
   void dispatch(net::WireUnitDescription unit);
   void complete(const std::string& unit_id, bool success);
-  /// Outbox sink: arena-encodes a batch (merging runs of one-completion
-  /// kUnitDoneBatch items into one frame) and gathers it into the
-  /// transport. Returns what the transport rejected, for retry.
-  std::vector<net::Message> ship(std::vector<net::Message> batch,
-                                 net::FlushReason reason);
-  /// Bypasses the outbox (heartbeat acks: batching them would inflate the
-  /// manager's RTT histogram, and losing one is harmless).
-  void send_direct(net::Message message);
+  /// Stamps, encodes and sends a frame to the manager from the calling
+  /// thread. Parks it (FIFO, behind anything already parked) when the
+  /// transport rejects it; `front` parks a rejected frame ahead of the
+  /// rest (the kHello that re-introduces a reconnected stream).
+  void send(net::Message message, bool front = false) PA_EXCLUDES(park_mu_);
+  /// Sends parked frames in order until the transport rejects one.
+  void send_parked_locked() PA_REQUIRES(park_mu_);
+  /// The per-frame retry: cheap when nothing is parked.
+  void retry_parked() PA_EXCLUDES(park_mu_);
+  /// Heartbeat acks: never parked (losing one is harmless, and a stale
+  /// ack would inflate the manager's RTT histogram).
+  void send_unparked(net::Message message);
   /// Headroom advertised to the manager: max(slots, 1) × queue_factor
   /// minus queued and running units, floored at 0.
   std::int32_t window_locked() const PA_REQUIRES(sched_mu_);
@@ -243,19 +253,15 @@ class AgentEndpoint {
   std::string peer_endpoint_;  ///< resolved listener address ("" = none)
 
   // Destruction order (reverse of declaration) is load-bearing:
-  // ~local_ first (joins workers; its completion callbacks may still
-  // push into outbox_), then ~outbox_ (final flush attempt over the
-  // still-constructed conn_), then conn_ last.
+  // ~local_ first (joins workers; their completions find the park closed
+  // and are counted as dropped), then store_out_ (already closed by the
+  // destructor), then conn_ last.
   net::ConnectionPtr conn_;
 
   std::atomic<bool> unresponsive_{false};
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};  ///< set by ~AgentEndpoint
   std::atomic<std::uint64_t> seq_{0};
-  /// Max completions merged per kUnitDoneBatch frame; halves on transport
-  /// reject (so frames shrink until they fit the send queue), doubles on
-  /// success up to the flusher's max_batch.
-  std::atomic<std::size_t> merge_cap_;
 
   // Cached kPilotActive body for idempotent duplicate kStartPilot
   // handling after a reconnect; site_/cores_ are published before
@@ -271,16 +277,31 @@ class AgentEndpoint {
   std::deque<net::WireUnitDescription> queue_ PA_GUARDED_BY(sched_mu_);
   int slots_ PA_GUARDED_BY(sched_mu_) = 0;        ///< pilot cores
   int outstanding_ PA_GUARDED_BY(sched_mu_) = 0;  ///< units inside local_
+  std::size_t held_hwm_ PA_GUARDED_BY(sched_mu_) = 0;
 
-  std::string arena_;  ///< flusher-thread-only encode buffer
+  /// Frames the transport rejected, encoded, oldest first. Held across
+  /// Connection::send so parked frames leave in order, which is why it
+  /// ranks below kNetConnection; it shares kNetRuntime with sched_mu_ and
+  /// never nests with it.
+  mutable check::Mutex park_mu_{check::LockRank::kNetRuntime,
+                                "rt::AgentEndpoint.park"};
+  std::deque<std::string> parked_ PA_GUARDED_BY(park_mu_);
+  /// Set by the destructor after its final attempt: later frames are
+  /// dropped and counted instead of parked.
+  bool park_closed_ PA_GUARDED_BY(park_mu_) = false;
+  std::uint64_t frames_dropped_ PA_GUARDED_BY(park_mu_) = 0;
+  /// Mirrors !parked_.empty() so the per-frame retry skips the lock.
+  std::atomic<bool> has_parked_{false};
   obs::Counter* send_rejected_counter_ = nullptr;
 
-  /// Data-plane half: assembles kObjPut streams, serves kObjGet. Replies
-  /// ride outbox_ (declared below, destroyed first), so in-flight store
-  /// replies drain through the final flush like completions do.
+  /// Data-plane half: assembles kObjPut streams, serves kObjGet.
   store::StoreAgent store_;
 
-  net::BatchFlusher outbox_;
+  /// Replies to kObjPut/kObjGet on conn_. Sent from the delivery thread
+  /// one by one, a star push's stream of announces filled the send queue
+  /// ahead of heartbeat acks (E16 declared pilots dead in 8 of 10 runs);
+  /// the pump gathers them and retries on its own timer.
+  std::unique_ptr<net::BatchFlusher> store_out_;
   LocalRuntime local_;
 };
 
@@ -299,17 +320,14 @@ struct RemoteRuntimeConfig {
   /// without an ack (or any other sign of life).
   int heartbeat_miss_limit = 4;
   /// Pipeline depth per agent core: the manager reports
-  /// `agent cores × factor` to the service so enough units are in flight
-  /// to keep agent queues fed (the agent still binds to real cores; the
-  /// factor only deepens the dispatch pipeline the batches draw from).
+  /// `agent cores × factor` to the service, and seeds each pilot's
+  /// dispatch credits with the same number, so enough units are in flight
+  /// to keep agent queues fed (the agent still binds to real cores).
   int dispatch_window_factor = 4;
-  /// Unit-dispatch flusher (group-commit batching of one-unit kUnitBatch
-  /// items into window-sized kUnitBatch frames).
-  net::BatchFlusherConfig flusher;
   /// Required: how pilots become agents.
   AgentLauncher launcher;
   /// Optional sink for heartbeat RTT, reconnects, queue HWM, bytes, and
-  /// the flusher's batch-size / flush-reason series.
+  /// the units-per-pass series (net.batch_size).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -372,12 +390,14 @@ class RemoteRuntime : public core::Runtime {
     std::string peer_endpoint;
     /// Dispatch credits: how many more units the agent can absorb.
     /// Seeded at kPilotActive (cores × dispatch_window_factor), debited
-    /// per shipped unit, credited per completion, and refreshed to the
-    /// agent's self-reported headroom on every kUnitDoneBatch.
+    /// per shipped unit, returned when the transport rejects the unit's
+    /// frame and credited once per completion of a unit in `inflight`.
+    /// The count is exact, so the agent never holds more units than the
+    /// seed.
     std::int64_t window = 0;
-    /// Max units per kUnitBatch frame; halves on transport reject so
-    /// oversized frames shrink until they fit, doubles on success.
-    std::size_t flush_cap = 0;
+    /// Units waiting for credit (or for the transport to take them),
+    /// oldest first.
+    std::deque<net::WireUnitDescription> queued;
     std::map<std::string, std::function<void(bool)>> inflight;
   };
 
@@ -385,13 +405,16 @@ class RemoteRuntime : public core::Runtime {
                       const std::string& payload);
   void heartbeat_loop();
   bool send_on(const net::ConnectionPtr& conn, net::Message message);
-  /// Dispatch sink: groups queued one-unit kUnitBatch items by pilot,
-  /// merges them into one kUnitBatch frame sized to min(window,
-  /// flush_cap), and sends it on the agent's connection. Returns what
-  /// could not ship yet (no connection, no window, transport reject) for
-  /// retry.
-  std::vector<net::Message> dispatch(std::vector<net::Message> batch,
-                                     net::FlushReason reason);
+  /// Under mutex_, pops up to `window` queued units of the pilot and
+  /// debits their credits; with the lock released, sends each as its own
+  /// one-unit kUnitBatch frame. A rejected frame and everything after it
+  /// go back to the front of `queued` with their credits returned; the
+  /// heartbeat thread then retries every millisecond.
+  void ship_units(const std::string& pilot_id) PA_EXCLUDES(mutex_);
+  /// Pilots holding units they have credit and a connection for: once
+  /// every ship_units pass has finished, only a transport reject leaves
+  /// a pilot in that state.
+  std::vector<std::string> stalled_pilots_locked() const PA_REQUIRES(mutex_);
 
   RemoteRuntimeConfig config_;
   net::Transport& transport_;
@@ -414,6 +437,10 @@ class RemoteRuntime : public core::Runtime {
   check::CondVar cv_;
   std::map<std::string, std::shared_ptr<PilotEntry>> pilots_
       PA_GUARDED_BY(mutex_);
+  /// Pilots whose termination was reported (cancelled, terminated by the
+  /// agent, or declared dead). A dispatch to one of them is dropped, not
+  /// refused: it raced the service applying the termination.
+  std::set<std::string> ended_ PA_GUARDED_BY(mutex_);
   /// Connections of terminated pilots, closed by the heartbeat thread
   /// (handlers may not close their own connection).
   std::vector<net::ConnectionPtr> zombies_ PA_GUARDED_BY(mutex_);
@@ -422,13 +449,11 @@ class RemoteRuntime : public core::Runtime {
   std::vector<std::weak_ptr<net::Connection>> pending_ PA_GUARDED_BY(mutex_);
   bool stopping_ PA_GUARDED_BY(mutex_) = false;
 
-  std::string arena_;  ///< dispatch-flusher-thread-only encode buffer
+  /// Pre-resolved instruments (null when config_.metrics is null).
+  obs::Histogram* batch_size_ = nullptr;
+  obs::Counter* send_rejected_ = nullptr;
 
   std::thread heartbeat_;
-  /// Unit-dispatch flusher; closed (final flush) in the destructor before
-  /// connections are torn down. Declared last so its thread never
-  /// outlives the state the sink touches.
-  std::unique_ptr<net::BatchFlusher> dispatch_;
 };
 
 }  // namespace pa::rt

@@ -6,10 +6,10 @@
 /// peer-to-peer transfers.
 ///
 /// Owned by rt::AgentEndpoint, which routes kObjPut/kObjGet into
-/// `handle()` and enqueues whatever messages it returns on the agent
-/// outbox (the same BatchFlusher that carries completions, so chunk
-/// replies get the buffered-retry discipline for free); peer frames
-/// arriving on agent-to-agent connections route into `handle_peer()`.
+/// `handle()` and sends whatever messages it returns on a BatchFlusher
+/// pump with a retry timer. Peer frames arriving on agent-to-agent
+/// connections route into `handle_peer()`; what those return for the
+/// manager takes the endpoint's direct send path.
 /// StoreAgent never touches a connection itself — transport access stays
 /// behind pa::net::Transport, per the socket-confinement lint.
 ///
@@ -74,7 +74,7 @@ struct TokenCheckStats {
 /// Replies produced by one peer-channel frame, split by where they go.
 struct PeerResult {
   std::vector<net::Message> to_peer;     ///< back on the peer connection
-  std::vector<net::Message> to_manager;  ///< onto the agent outbox
+  std::vector<net::Message> to_manager;  ///< sent on the manager connection
 };
 
 class StoreAgent {
@@ -92,8 +92,8 @@ class StoreAgent {
   /// validate while the key is unset.
   void set_token_key(const std::string& key);
 
-  /// Handles one manager->agent object message; returns the replies to
-  /// enqueue on the agent outbox (never sends itself). Non-object
+  /// Handles one manager->agent object message; returns the replies for
+  /// the endpoint to send (never sends itself). Non-object
   /// messages return empty.
   std::vector<net::Message> handle(const net::Message& m);
 

@@ -18,11 +18,11 @@
 ///
 /// Self-pacing: the net::BatchFlusher only runs its sink when messages are
 /// pending, so after each pass with cursor work left the sink *retains*
-/// one prefetched frame unsent — the flusher re-queues it at the front and
+/// one prefetched frame unsent — the pump re-queues it at the front and
 /// re-enters the sink after its retry backoff. The prefetch is the pump's
 /// heartbeat; without it a drained queue would strand live cursors.
 ///
-/// Delivery contract (mirrors the dispatch sink in RemoteRuntime):
+/// Delivery contract:
 ///   * kSent  — frame accepted by the connection;
 ///   * kBusy  — transient backpressure: the frame *and every later frame
 ///              for the same pilot* are retained in order and retried
@@ -70,7 +70,7 @@ using ChunkSource = std::function<std::optional<Chunk>(
 
 struct TransferSchedulerConfig {
   /// Max chunk frames handed to the sender per pump pass (the
-  /// interleaving knob — also the pump's batch-size trigger).
+  /// interleaving knob; also the pump's max_batch).
   std::size_t chunks_per_pass = 8;
   /// Backoff before retrying frames a busy connection rejected; also the
   /// idle cadence of the prefetch heartbeat while cursors have work.
@@ -140,7 +140,7 @@ class TransferScheduler {
   };
 
   std::vector<net::Message> pump_sink(std::vector<net::Message> batch,
-                                      net::FlushReason reason);
+                                      bool closing);
   /// Builds the next frame round-robin across live streams, skipping
   /// `busy` pilots; advances (and completes/aborts) the chosen cursor.
   std::optional<net::Message> next_stream_frame(

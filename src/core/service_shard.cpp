@@ -23,8 +23,8 @@ ServiceShard::ServiceShard(Runtime& runtime, int index,
       model_(std::make_shared<ReadModel>()) {
   Ctrl::Options options;
   options.threaded = !runtime_.single_threaded();
-  options.clock = [this]() { return runtime_.now(); };
-  ctrl_ = std::make_unique<Ctrl>(
+  options.clock = [&runtime = runtime_]() { return runtime.now(); };
+  ctrl_ = std::make_shared<Ctrl>(
       [this](cmd::Command& command) { apply_command(command); },
       [this]() { on_batch_end(); }, std::move(options));
 }
@@ -207,15 +207,18 @@ void ServiceShard::submit_pilot_apply(const std::string& pilot_id,
 
   // Runtime callbacks never run middleware logic on a substrate thread:
   // each is a wait-free post of the corresponding command (tools/lint.py
-  // enforces this shape). They capture *this* shard's queue; if the pilot
-  // later moves, the source shard forwards the posted command.
+  // enforces this shape). They hold *this* shard's queue, never the
+  // shard: the plane is their liveness token, so one that fires during or
+  // after teardown posts into a stopped plane, which drops it. If the
+  // pilot later moves, the source shard forwards the posted command.
   PilotRuntimeCallbacks callbacks;
-  callbacks.on_active = [this](const std::string& id, int cores,
-                               const std::string& site) {
-    ctrl_->post(cmd::Command{cmd::CmdPilotActive{id, cores, site}});
+  callbacks.on_active = [ctrl = ctrl_](const std::string& id, int cores,
+                                       const std::string& site) {
+    ctrl->post(cmd::Command{cmd::CmdPilotActive{id, cores, site}});
   };
-  callbacks.on_terminated = [this](const std::string& id, PilotState state) {
-    ctrl_->post(cmd::Command{cmd::CmdPilotTerminated{id, state}});
+  callbacks.on_terminated = [ctrl = ctrl_](const std::string& id,
+                                           PilotState state) {
+    ctrl->post(cmd::Command{cmd::CmdPilotTerminated{id, state}});
   };
 
   pilots_.at(pilot_id).sm.transition(PilotState::kSubmitted);
@@ -466,11 +469,12 @@ void ServiceShard::dispatch_unit_apply(const std::string& unit_id,
   const std::string site = pilot.site;
   const int attempt = unit.attempts;
   for (const auto& du : unit.description.input_data) {
-    data_->stage_to_site(du, site, [this, unit_id, remaining, attempt]() {
+    data_->stage_to_site(du, site, [ctrl = ctrl_, unit_id, remaining,
+                                    attempt]() {
       if (remaining->fetch_sub(1, std::memory_order_acq_rel) > 1) {
         return;
       }
-      ctrl_->post(cmd::Command{cmd::CmdStageInDone{unit_id, attempt}});
+      ctrl->post(cmd::Command{cmd::CmdStageInDone{unit_id, attempt}});
     });
   }
 }
@@ -505,8 +509,8 @@ void ServiceShard::execute_unit_apply(const std::string& unit_id) {
   // a terminated pilot cannot be mistaken for a later re-run's.
   const int attempt = unit.attempts;
   runtime_.execute_unit(unit.pilot_id, unit.description, unit_id,
-                        [this, unit_id, attempt](bool success) {
-                          ctrl_->post(cmd::Command{
+                        [ctrl = ctrl_, unit_id, attempt](bool success) {
+                          ctrl->post(cmd::Command{
                               cmd::CmdUnitDone{unit_id, success, attempt}});
                         });
 }

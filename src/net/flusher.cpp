@@ -8,72 +8,16 @@
 namespace pa::net {
 
 namespace {
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-}  // namespace
-
-const char* to_string(FlushReason r) {
-  switch (r) {
-    case FlushReason::kSize:
-      return "size";
-    case FlushReason::kTime:
-      return "time";
-    case FlushReason::kEager:
-      return "eager";
-    case FlushReason::kClose:
-      return "close";
-    case FlushReason::kExplicit:
-      return "explicit";
-  }
-  return "unknown";
-}
-
-obs::Counter* BatchFlusher::MetricsHandles::reason_counter(
-    FlushReason r) const {
-  switch (r) {
-    case FlushReason::kSize:
-      return flush_size;
-    case FlushReason::kTime:
-      return flush_time;
-    case FlushReason::kEager:
-      return flush_eager;
-    case FlushReason::kClose:
-      return flush_close;
-    case FlushReason::kExplicit:
-      return flush_explicit;
-  }
-  return nullptr;
-}
-
-namespace {
 BatchFlusher::Sink require_sink(BatchFlusher::Sink sink) {
   PA_REQUIRE_ARG(sink != nullptr, "BatchFlusher needs a sink");
   return sink;
 }
 }  // namespace
 
-BatchFlusher::BatchFlusher(Sink sink, BatchFlusherConfig config,
-                           obs::MetricsRegistry* metrics)
-    : sink_(require_sink(std::move(sink))),
-      config_(config),
-      metrics_([metrics]() {
-        MetricsHandles h;
-        if (metrics != nullptr) {
-          h.batch_size = &metrics->histogram("net.batch_size", 1.0, 1e6);
-          h.flush_size = &metrics->counter("net.flush_size");
-          h.flush_time = &metrics->counter("net.flush_time");
-          h.flush_eager = &metrics->counter("net.flush_eager");
-          h.flush_close = &metrics->counter("net.flush_close");
-          h.flush_explicit = &metrics->counter("net.flush_explicit");
-          h.retried = &metrics->counter("net.flush_retried");
-          h.dropped_on_close = &metrics->counter("net.flush_dropped_on_close");
-        }
-        return h;
-      }()) {
+BatchFlusher::BatchFlusher(Sink sink, BatchFlusherConfig config)
+    : sink_(require_sink(std::move(sink))), config_(config) {
   PA_REQUIRE_ARG(config_.max_batch >= 1, "BatchFlusher max_batch must be >= 1");
-  flusher_ = std::thread([this]() { flusher_loop(); });
+  pump_ = std::thread([this]() { pump_loop(); });
 }
 
 BatchFlusher::~BatchFlusher() {
@@ -90,66 +34,32 @@ void BatchFlusher::push(Message message) {
     // The endpoint is shutting down; a late message has nowhere to go but
     // is accounted for (the caller's recovery story is orphan requeue).
     ++dropped_on_close_;
-    if (metrics_.dropped_on_close != nullptr) {
-      metrics_.dropped_on_close->inc();
-    }
     return;
   }
   const bool was_empty = pending_.empty();
-  if (was_empty) {
-    oldest_ = std::chrono::steady_clock::now();
-  }
   pending_.push_back(std::move(message));
-  // The flusher only sleeps when there is nothing actionable; while it
+  // The pump only sleeps when there is nothing actionable; while it
   // drains, a wakeup is redundant (it re-checks the queue after every sink
   // call), and eliding it keeps the futex syscall off the push path.
-  if ((was_empty && !draining_) || pending_.size() == config_.max_batch) {
+  if (was_empty && !draining_) {
     work_cv_.notify_one();
-  }
-}
-
-void BatchFlusher::kick() {
-  check::MutexLock lock(mutex_);
-  if (closing_) {
-    return;
-  }
-  kick_ = true;
-  work_cv_.notify_one();
-}
-
-void BatchFlusher::flush() {
-  check::MutexLock lock(mutex_);
-  if (closed_) {
-    return;
-  }
-  kick_ = true;
-  work_cv_.notify_one();
-  // Two completed cycles bound the wait: one for a batch mid-flight when
-  // we arrived, one for everything pending at kick time. A sink that keeps
-  // rejecting (dead connection) cannot hang us forever.
-  const std::uint64_t bound = cycles_ + 2;
-  while (!(pending_.empty() && !draining_) && cycles_ < bound && !closed_) {
-    done_cv_.wait(lock);
   }
 }
 
 void BatchFlusher::close() {
   {
     check::MutexLock lock(mutex_);
-    if (closed_ || closing_) {
+    if (closing_) {
       // Already closed, or a concurrent close() owns the join — returning
-      // here keeps flusher_.join() single-callered.
+      // here keeps pump_.join() single-callered.
       return;
     }
     closing_ = true;
     work_cv_.notify_one();
   }
-  if (flusher_.joinable()) {
-    flusher_.join();
+  if (pump_.joinable()) {
+    pump_.join();
   }
-  check::MutexLock lock(mutex_);
-  closed_ = true;
-  done_cv_.notify_all();
 }
 
 std::uint64_t BatchFlusher::dropped_on_close() const {
@@ -162,47 +72,16 @@ std::uint64_t BatchFlusher::retried() const {
   return retried_;
 }
 
-std::size_t BatchFlusher::pending() const {
-  check::MutexLock lock(mutex_);
-  return pending_.size();
-}
-
-void BatchFlusher::flusher_loop() {
+void BatchFlusher::pump_loop() {
   check::MutexLock lock(mutex_);
   while (true) {
-    while (!closing_ && !kick_ && pending_.empty()) {
+    while (!closing_ && pending_.empty()) {
       work_cv_.wait(lock);
     }
     if (pending_.empty()) {
-      if (closing_) {
-        return;
-      }
-      // Explicit flush with nothing buffered: a no-op, not a sink call.
-      kick_ = false;
-      ++cycles_;
-      done_cv_.notify_all();
-      continue;
+      return;  // closing with nothing left
     }
-    FlushReason reason;
-    if (closing_) {
-      reason = FlushReason::kClose;
-    } else if (kick_) {
-      reason = FlushReason::kExplicit;
-    } else if (pending_.size() >= config_.max_batch) {
-      reason = FlushReason::kSize;
-    } else if (config_.eager) {
-      reason = FlushReason::kEager;
-    } else {
-      const double remaining =
-          config_.max_delay_seconds - seconds_since(oldest_);
-      if (remaining > 0) {
-        work_cv_.wait_for(lock, remaining);
-        continue;  // re-evaluate triggers from scratch
-      }
-      reason = FlushReason::kTime;
-    }
-    kick_ = false;
-
+    const bool closing = closing_;
     std::vector<Message> batch;
     const std::size_t take = std::min(pending_.size(), config_.max_batch);
     batch.reserve(take);
@@ -210,50 +89,31 @@ void BatchFlusher::flusher_loop() {
       batch.push_back(std::move(pending_.front()));
       pending_.pop_front();
     }
-    if (!pending_.empty()) {
-      // Leftovers inherit a fresh age anchor; close enough for a
-      // milliseconds-scale trigger and cheaper than per-message stamps.
-      oldest_ = std::chrono::steady_clock::now();
-    }
     draining_ = true;
     lock.unlock();
 
-    std::vector<Message> retained = sink_(std::move(batch), reason);
-    if (metrics_.batch_size != nullptr) {
-      metrics_.batch_size->record(static_cast<double>(take));
-      if (obs::Counter* c = metrics_.reason_counter(reason)) {
-        c->inc();
-      }
-    }
+    std::vector<Message> retained = sink_(std::move(batch), closing);
 
     lock.lock();
     draining_ = false;
-    ++cycles_;
-    if (!retained.empty()) {
-      if (closing_) {
-        // Final attempt already made (or about to drain with kClose);
-        // anything still rejected at close time is dropped, counted.
-        dropped_on_close_ += retained.size();
-        if (metrics_.dropped_on_close != nullptr) {
-          metrics_.dropped_on_close->inc(retained.size());
-        }
-      } else {
-        retried_ += retained.size();
-        if (metrics_.retried != nullptr) {
-          metrics_.retried->inc(retained.size());
-        }
-        for (auto it = retained.rbegin(); it != retained.rend(); ++it) {
-          pending_.push_front(std::move(*it));
-        }
-        oldest_ = std::chrono::steady_clock::now();
-        done_cv_.notify_all();
-        // Back off before re-offering the same messages so a rejecting
-        // transport is polled, not hammered.
-        work_cv_.wait_for(lock, config_.retry_delay_seconds);
-        continue;
-      }
+    if (retained.empty()) {
+      continue;
     }
-    done_cv_.notify_all();
+    if (closing) {
+      // The final attempt was made; anything still rejected is dropped,
+      // counted.
+      dropped_on_close_ += retained.size();
+      continue;
+    }
+    retried_ += retained.size();
+    for (auto it = retained.rbegin(); it != retained.rend(); ++it) {
+      pending_.push_front(std::move(*it));
+    }
+    // Back off before re-offering the same messages so a rejecting
+    // transport is polled, not hammered. close() cuts the wait short.
+    if (!closing_) {
+      work_cv_.wait_for(lock, config_.retry_delay_seconds);
+    }
   }
 }
 

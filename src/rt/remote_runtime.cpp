@@ -55,17 +55,11 @@ AgentEndpoint::AgentEndpoint(net::Transport& transport,
       config_(std::move(config)),
       payloads_(std::move(payloads)),
       transport_(transport),
-      merge_cap_(std::max<std::size_t>(1, config_.flusher.max_batch)),
       send_rejected_counter_(
           config_.metrics != nullptr
               ? &config_.metrics->counter("net.agent_send_rejected")
               : nullptr),
       store_(config_.store),
-      outbox_(
-          [this](std::vector<net::Message> batch, net::FlushReason reason) {
-            return ship(std::move(batch), reason);
-          },
-          config_.flusher, config_.metrics),
       local_(config_.local) {
   store_.set_identity(pilot_id_);
   // The peer listener binds BEFORE the manager connection so the very
@@ -78,20 +72,20 @@ AgentEndpoint::AgentEndpoint(net::Transport& transport,
   handlers.on_reconnect = [this] {
     // Fresh stream: re-introduce ourselves so the manager can re-map
     // connection -> pilot (it replies with an idempotent kStartPilot).
+    // The hello jumps the park; parked frames follow it.
     if (conn_ != nullptr) {
       net::Message hello;
       hello.type = net::MessageType::kHello;
       hello.peer_endpoint = peer_endpoint_;
-      outbox_.push(std::move(hello));
-      outbox_.kick();
+      send(std::move(hello), /*front=*/true);
     }
   };
   conn_ = transport.connect(endpoint, std::move(handlers));
+  store_out_ = make_peer_flusher(conn_);
   net::Message hello;
   hello.type = net::MessageType::kHello;
   hello.peer_endpoint = peer_endpoint_;
-  outbox_.push(std::move(hello));
-  outbox_.kick();
+  send(std::move(hello));
 }
 
 AgentEndpoint::~AgentEndpoint() {
@@ -102,13 +96,14 @@ AgentEndpoint::~AgentEndpoint() {
   //     handlers from now on), then close every channel — each close is
   //     a handler barrier, so no peer frame can reach store_ after this
   //     block;
-  //  3. flush the outbox — completions the workers already produced ship
-  //     in one final batch while the stream is still up;
+  //  3. close the store pump (its final attempt) and make one final
+  //     attempt at the park, so parked completions ship while the stream
+  //     is still up; then close the park;
   //  4. close the connection (handler barrier), so the embedded runtime
   //     (destroyed next, joining its pools) cannot race handle_message.
-  // Completions that land between (3) and ~outbox_ are dropped-and-
-  // counted there; the manager's heartbeat-deadline orphan requeue plus
-  // the service's attempt tagging make that loss exactly-once safe.
+  // Frames still parked after (3), or produced after it, are dropped and
+  // counted; the manager's heartbeat-deadline orphan requeue plus the
+  // service's attempt tagging make that loss exactly-once safe.
   draining_.store(true);
   std::vector<std::shared_ptr<PeerChannel>> channels;
   {
@@ -132,7 +127,15 @@ AgentEndpoint::~AgentEndpoint() {
       ch->conn->close();
     }
   }
-  outbox_.flush();
+  store_out_->close();
+  {
+    check::MutexLock lock(park_mu_);
+    send_parked_locked();
+    frames_dropped_ += parked_.size();
+    parked_.clear();
+    has_parked_.store(false);
+    park_closed_ = true;
+  }
   conn_->close();
 }
 
@@ -179,19 +182,28 @@ void AgentEndpoint::setup_peer_listener(net::Transport& transport,
 
 std::unique_ptr<net::BatchFlusher> AgentEndpoint::make_peer_flusher(
     net::ConnectionPtr conn) {
-  // Detached metrics, like the manager's transfer pump: multi-hundred-KiB
-  // chunk frames would drown the control plane's batch-size series.
   return std::make_unique<net::BatchFlusher>(
       [this, conn](std::vector<net::Message> batch,
-                   net::FlushReason /*reason*/) -> std::vector<net::Message> {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          net::Message& m = batch[i];
-          m.pilot_id = pilot_id_;
-          m.seq = seq_.fetch_add(1);
-          std::string frame;
-          net::append_message_frame(frame, m);
-          if (!conn->send(std::move(frame))) {
-            // Backpressure: retain the unsent tail in order; the flusher
+                   bool /*closing*/) -> std::vector<net::Message> {
+        // Small frames (store announces) share one enqueue per ~64 KiB:
+        // one lock and at most one I/O-thread wakeup instead of one per
+        // frame. A chunk frame is bigger than that and goes alone, so a
+        // gather never outgrows the send queue.
+        constexpr std::size_t kGatherBytes = 64 * 1024;
+        std::string frames;
+        std::size_t i = 0;
+        while (i < batch.size()) {
+          frames.clear();
+          std::size_t end = i;
+          while (end < batch.size() &&
+                 (end == i || frames.size() < kGatherBytes)) {
+            net::Message& m = batch[end++];
+            m.pilot_id = pilot_id_;
+            m.seq = seq_.fetch_add(1);
+            net::append_message_frame(frames, m);
+          }
+          if (!conn->send_gather(frames, end - i)) {
+            // Backpressure: retain the unsent tail in order; the pump
             // retries after its backoff.
             if (send_rejected_counter_ != nullptr) {
               send_rejected_counter_->inc();
@@ -200,10 +212,10 @@ std::unique_ptr<net::BatchFlusher> AgentEndpoint::make_peer_flusher(
                                             static_cast<std::ptrdiff_t>(i)),
                     std::make_move_iterator(batch.end())};
           }
+          i = end;
         }
         return {};
-      },
-      config_.flusher, nullptr);
+      });
 }
 
 std::shared_ptr<AgentEndpoint::PeerChannel> AgentEndpoint::peer_channel_for(
@@ -278,16 +290,12 @@ void AgentEndpoint::handle_peer_message(
       for (net::Message& r : res.to_peer) {
         ch->out->push(std::move(r));
       }
-      ch->out->kick();
     }
     // A dead channel drops the reply: the dest's token deadline (or the
     // manager's tick) turns that silence into a regrant.
   }
-  if (!res.to_manager.empty()) {
-    for (net::Message& r : res.to_manager) {
-      outbox_.push(std::move(r));
-    }
-    outbox_.kick();
+  for (net::Message& r : res.to_manager) {
+    send(std::move(r));
   }
 }
 
@@ -309,7 +317,6 @@ void AgentEndpoint::handle_xfer_token(const net::Message& m) {
               peer_channel_for(m.peer_endpoint);
           ch != nullptr && ch->out != nullptr) {
         ch->out->push(std::move(*offer));
-        ch->out->kick();
         presented = true;
       }
     } catch (const std::exception& e) {
@@ -328,8 +335,7 @@ void AgentEndpoint::handle_xfer_token(const net::Message& m) {
     done.nonce = m.nonce;
     done.object_bytes = 0;
     done.success = false;
-    outbox_.push(std::move(done));
-    outbox_.kick();
+    send(std::move(done));
   }
 }
 
@@ -355,14 +361,14 @@ AgentEndpoint::SchedulerStats AgentEndpoint::scheduler_stats() const {
     s.outstanding = static_cast<std::size_t>(outstanding_);
     s.slots = slots_;
     s.window = window_locked();
+    s.held_hwm = held_hwm_;
   }
-  s.outbox_pending = outbox_.pending();
+  check::MutexLock lock(park_mu_);
+  s.parked = parked_.size();
   return s;
 }
 
-void AgentEndpoint::send_direct(net::Message message) {
-  // Heartbeat-ack fast path: batching acks would inflate the manager's
-  // RTT histogram, and a dropped ack is harmless (the next one answers).
+void AgentEndpoint::send_unparked(net::Message message) {
   message.pilot_id = pilot_id_;
   message.seq = seq_.fetch_add(1);
   std::string frame;
@@ -370,68 +376,55 @@ void AgentEndpoint::send_direct(net::Message message) {
   (void)conn_->send(std::move(frame));
 }
 
-std::vector<net::Message> AgentEndpoint::ship(std::vector<net::Message> batch,
-                                              net::FlushReason /*reason*/) {
-  const auto is_done = [](const net::Message& m) {
-    return m.type == net::MessageType::kUnitDoneBatch;
-  };
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    arena_.clear();
-    std::uint64_t frames = 0;
-    std::size_t end = i;
-    const std::size_t cap = merge_cap_.load();
-    if (is_done(batch[i])) {
-      // Merge the run of one-completion items into one kUnitDoneBatch
-      // frame, carrying the scheduler's current headroom for the
-      // manager's dispatch window.
-      net::Message b;
-      b.type = net::MessageType::kUnitDoneBatch;
-      b.pilot_id = pilot_id_;
-      while (end < batch.size() && b.completions.size() < cap &&
-             is_done(batch[end])) {
-        // Copied, not moved: a rejected send retains batch[i..) for retry.
-        const std::vector<net::WireUnitDone>& done = batch[end].completions;
-        b.completions.insert(b.completions.end(), done.begin(), done.end());
-        ++end;
-      }
-      b.window = window();
-      b.seq = seq_.fetch_add(1);
-      net::append_message_frame(arena_, b);
-      frames = 1;
-    } else {
-      // Control and store messages keep their own frames but still share
-      // one gather into the transport.
-      while (end < batch.size() && end - i < cap && !is_done(batch[end])) {
-        net::Message& m = batch[end];
-        m.pilot_id = pilot_id_;
-        m.seq = seq_.fetch_add(1);
-        net::append_message_frame(arena_, m);
-        ++frames;
-        ++end;
-      }
-    }
-    if (!conn_->send_gather(arena_, frames)) {
-      // Backpressure (or a closed stream): retain everything unsent — the
-      // flusher retries after its backoff — and halve the merge cap so
-      // the retried frame shrinks until it fits the send queue. This is
-      // the fix for the old fire-and-forget completion send.
-      if (send_rejected_counter_ != nullptr) {
-        send_rejected_counter_->inc();
-      }
-      merge_cap_.store(cap > 1 ? cap / 2 : 1);
-      return {std::make_move_iterator(batch.begin() +
-                                      static_cast<std::ptrdiff_t>(i)),
-              std::make_move_iterator(batch.end())};
-    }
-    const std::size_t max_cap =
-        std::max<std::size_t>(1, config_.flusher.max_batch);
-    if (cap < max_cap) {
-      merge_cap_.store(std::min(max_cap, cap * 2));
-    }
-    i = end;
+void AgentEndpoint::send(net::Message message, bool front) {
+  message.pilot_id = pilot_id_;
+  message.seq = seq_.fetch_add(1);
+  std::string frame;
+  net::append_message_frame(frame, message);
+  check::MutexLock lock(park_mu_);
+  if (park_closed_) {
+    ++frames_dropped_;
+    return;
   }
-  return {};
+  if (!front) {
+    send_parked_locked();
+  }
+  // send_gather takes a view, so a rejected frame is still ours to park.
+  if ((front || parked_.empty()) && conn_->send_gather(frame, 1)) {
+    if (front) {
+      send_parked_locked();
+    }
+    return;
+  }
+  if (send_rejected_counter_ != nullptr) {
+    send_rejected_counter_->inc();
+  }
+  if (front) {
+    parked_.push_front(std::move(frame));
+  } else {
+    parked_.push_back(std::move(frame));
+  }
+  has_parked_.store(true);
+}
+
+void AgentEndpoint::send_parked_locked() {
+  while (!parked_.empty()) {
+    if (!conn_->send_gather(parked_.front(), 1)) {
+      return;
+    }
+    parked_.pop_front();
+  }
+  has_parked_.store(false);
+}
+
+void AgentEndpoint::retry_parked() {
+  if (!has_parked_.load()) {
+    return;
+  }
+  check::MutexLock lock(park_mu_);
+  if (!park_closed_) {
+    send_parked_locked();
+  }
 }
 
 void AgentEndpoint::enqueue_units(
@@ -441,6 +434,8 @@ void AgentEndpoint::enqueue_units(
     for (auto& unit : units) {
       queue_.push_back(std::move(unit));
     }
+    held_hwm_ = std::max(held_hwm_, queue_.size() +
+                                        static_cast<std::size_t>(outstanding_));
   }
   pump();
 }
@@ -485,11 +480,12 @@ void AgentEndpoint::complete(const std::string& unit_id, bool success) {
   r.type = net::MessageType::kUnitDoneBatch;
   r.completions.push_back(
       net::WireUnitDone{unit_id, success, pa::wall_seconds()});
-  outbox_.push(std::move(r));
   {
     check::MutexLock lock(sched_mu_);
     --outstanding_;
+    r.window = window_locked();
   }
+  send(std::move(r));
   pump();
 }
 
@@ -504,6 +500,9 @@ void AgentEndpoint::handle_message(const std::string& payload) {
   }
   if (m.pilot_id != pilot_id_) {
     return;  // not ours; a confused manager is not our problem to crash on
+  }
+  if (m.type != net::MessageType::kHeartbeat) {
+    retry_parked();
   }
   switch (m.type) {
     case net::MessageType::kStartPilot: {
@@ -520,8 +519,7 @@ void AgentEndpoint::handle_message(const std::string& payload) {
           r.type = net::MessageType::kPilotActive;
           r.total_cores = active_cores_;
           r.site = active_site_;
-          outbox_.push(std::move(r));
-          outbox_.kick();
+          send(std::move(r));
         }
         return;
       }
@@ -545,8 +543,7 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         r.type = net::MessageType::kPilotActive;
         r.total_cores = total_cores;
         r.site = site;
-        outbox_.push(std::move(r));
-        outbox_.kick();
+        send(std::move(r));
         pump();  // units may already be queued behind the allocation
       };
       callbacks.on_terminated = [this](const std::string&,
@@ -554,8 +551,7 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         net::Message r;
         r.type = net::MessageType::kPilotTerminated;
         r.pilot_state = state;
-        outbox_.push(std::move(r));
-        outbox_.kick();
+        send(std::move(r));
       };
       try {
         local_.start_pilot(pilot_id_, desc, std::move(callbacks));
@@ -565,8 +561,7 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         net::Message r;
         r.type = net::MessageType::kPilotTerminated;
         r.pilot_state = core::PilotState::kFailed;
-        outbox_.push(std::move(r));
-        outbox_.kick();
+        send(std::move(r));
       }
       break;
     }
@@ -579,21 +574,18 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         net::Message r;
         r.type = net::MessageType::kHeartbeatAck;
         r.timestamp = m.timestamp;  // echo the probe for RTT
-        send_direct(std::move(r));
+        send_unparked(std::move(r));
       }
+      // After the ack: a retry that refills the send queue first would
+      // starve the ack, and with it the pilot's liveness.
+      retry_parked();
       break;
     }
     case net::MessageType::kObjPut:
     case net::MessageType::kObjGet: {
-      // Data plane: store replies (announces, chunk streams) ride the
-      // completion outbox so they get batching + buffered retry, and so
-      // a chunk stream never jumps ahead of completions on the wire.
-      std::vector<net::Message> replies = store_.handle(m);
-      if (!replies.empty()) {
-        for (net::Message& r : replies) {
-          outbox_.push(std::move(r));
-        }
-        outbox_.kick();
+      // Data plane: replies ride the store pump (see store_out_).
+      for (net::Message& r : store_.handle(m)) {
+        store_out_->push(std::move(r));
       }
       break;
     }
@@ -627,6 +619,10 @@ RemoteRuntime::RemoteRuntime(net::Transport& transport,
     : config_(std::move(config)),
       transport_(transport),
       epoch_(pa::wall_seconds()) {
+  if (config_.metrics != nullptr) {
+    batch_size_ = &config_.metrics->histogram("net.batch_size", 1.0, 1e6);
+    send_rejected_ = &config_.metrics->counter("net.send_rejected");
+  }
   PA_REQUIRE_ARG(config_.launcher != nullptr,
                  "RemoteRuntime needs an AgentLauncher");
   PA_REQUIRE_ARG(config_.heartbeat_interval_seconds > 0.0,
@@ -653,11 +649,6 @@ RemoteRuntime::RemoteRuntime(net::Transport& transport,
         return handlers;
       });
   heartbeat_ = std::thread([this] { heartbeat_loop(); });
-  dispatch_ = std::make_unique<net::BatchFlusher>(
-      [this](std::vector<net::Message> batch, net::FlushReason reason) {
-        return dispatch(std::move(batch), reason);
-      },
-      config_.flusher, config_.metrics);
 }
 
 RemoteRuntime::~RemoteRuntime() {
@@ -674,12 +665,6 @@ RemoteRuntime::~RemoteRuntime() {
   }
   if (heartbeat_.joinable()) {
     heartbeat_.join();
-  }
-  // Stop the dispatch flusher before touching connections: its final
-  // flush finds pilots_ empty and drops the remainder (the service is
-  // gone; nothing can observe those units anymore).
-  if (dispatch_ != nullptr) {
-    dispatch_->close();
   }
   // An attached store's transfer pump sends through `this`; close it
   // (joining the pump thread) before the runtime's members die. The
@@ -726,7 +711,7 @@ void RemoteRuntime::attach_store(store::StoreManager* store) {
   // The store's egress path. Called from the transfer pump with no locks
   // held; we take mutex_ (rank 14) to resolve the pilot, stamp the
   // header, and reserve a seq, then send on a copied connection outside
-  // the lock (same discipline as the dispatch sink).
+  // the lock (same discipline as ship_units).
   store->attach_sender([this](const std::string& pilot_id,
                               net::Message& m) -> store::SendResult {
     net::ConnectionPtr conn;
@@ -759,8 +744,8 @@ bool RemoteRuntime::send_on(const net::ConnectionPtr& conn,
   std::string frame;
   net::append_message_frame(frame, message);
   const bool accepted = conn->send(std::move(frame));
-  if (!accepted && config_.metrics != nullptr) {
-    config_.metrics->counter("net.send_rejected").inc();
+  if (!accepted && send_rejected_ != nullptr) {
+    send_rejected_->inc();
   }
   return accepted;
 }
@@ -775,7 +760,6 @@ void RemoteRuntime::start_pilot(const std::string& pilot_id,
   auto entry = std::make_shared<PilotEntry>();
   entry->description = description;
   entry->callbacks = std::move(callbacks);
-  entry->flush_cap = std::max<std::size_t>(1, config_.flusher.max_batch);
   {
     check::MutexLock lock(mutex_);
     if (stopping_) {
@@ -804,6 +788,7 @@ void RemoteRuntime::cancel_pilot(const std::string& pilot_id) {
     }
     entry = it->second;
     pilots_.erase(it);
+    ended_.insert(pilot_id);
   }
   if (entry->conn) {
     net::Message bye;
@@ -828,23 +813,22 @@ void RemoteRuntime::execute_unit(const std::string& pilot_id,
                                  const core::ComputeUnitDescription& description,
                                  const std::string& unit_id,
                                  std::function<void(bool)> on_done) {
-  // A one-unit kUnitBatch; the dispatch sink merges runs of them into
-  // frames sized to the agent's window.
-  net::Message m;
-  m.type = net::MessageType::kUnitBatch;
-  m.pilot_id = pilot_id;
-  m.units.push_back(
-      net::to_wire_unit(unit_id, description, description.work != nullptr));
   {
     check::MutexLock lock(mutex_);
     const auto it = pilots_.find(pilot_id);
     if (it == pilots_.end()) {
+      if (ended_.count(pilot_id) != 0) {
+        // The service dispatched before it applied the pilot's
+        // termination, which we already reported: its orphan requeue
+        // owns this attempt.
+        return;
+      }
       throw NotFound("unknown pilot: " + pilot_id);
     }
     it->second->inflight[unit_id] = std::move(on_done);
   }
   if (description.work) {
-    // Park the closure BEFORE the message can arrive; re-put on every
+    // Park the closure BEFORE the frame can arrive; re-put on every
     // attempt so requeued units resolve again.
     payloads_->put(unit_id, description.work);
   }
@@ -856,118 +840,101 @@ void RemoteRuntime::execute_unit(const std::string& pilot_id,
       s->prefetch(pilot_id, description.input_data);
     }
   }
-  // The hot path ends here. Pushed with mutex_ released — the flusher
-  // lock ranks below ours.
-  dispatch_->push(std::move(m));
+  {
+    check::MutexLock lock(mutex_);
+    const auto it = pilots_.find(pilot_id);
+    if (it == pilots_.end()) {
+      // Cancelled or failed meanwhile: the attempt already belongs to
+      // the service's orphan requeue.
+      return;
+    }
+    it->second->queued.push_back(
+        net::to_wire_unit(unit_id, description, description.work != nullptr));
+  }
+  ship_units(pilot_id);
 }
 
-std::vector<net::Message> RemoteRuntime::dispatch(
-    std::vector<net::Message> batch, net::FlushReason /*reason*/) {
-  // Group by pilot, preserving per-pilot order (cross-pilot order carries
-  // no meaning — each pilot has its own stream).
-  std::vector<std::pair<std::string, std::vector<net::Message>>> groups;
-  for (auto& m : batch) {
-    auto it = std::find_if(
-        groups.begin(), groups.end(),
-        [&](const auto& g) { return g.first == m.pilot_id; });
-    if (it == groups.end()) {
-      groups.emplace_back(m.pilot_id, std::vector<net::Message>{});
-      it = std::prev(groups.end());
+void RemoteRuntime::ship_units(const std::string& pilot_id) {
+  net::ConnectionPtr conn;
+  std::vector<net::WireUnitDescription> units;
+  std::uint64_t first_seq = 0;
+  {
+    check::MutexLock lock(mutex_);
+    const auto it = pilots_.find(pilot_id);
+    if (it == pilots_.end()) {
+      return;
     }
-    it->second.push_back(std::move(m));
+    PilotEntry& entry = *it->second;
+    if (entry.conn == nullptr || entry.window <= 0 || entry.queued.empty()) {
+      return;
+    }
+    // Debit the credits NOW, atomically with the pop: a completion for
+    // these very units may be applied before our unlocked sends return.
+    const std::size_t take = std::min(
+        entry.queued.size(), static_cast<std::size_t>(entry.window));
+    entry.window -= static_cast<std::int64_t>(take);
+    units.reserve(take);
+    for (std::size_t i = 0; i < take; ++i) {
+      units.push_back(std::move(entry.queued.front()));
+      entry.queued.pop_front();
+    }
+    conn = entry.conn;
+    first_seq = entry.seq;
+    entry.seq += take;  // seq gaps from rejected frames are harmless
   }
+  // One unit per frame: E14e measured max_batch=1 at parity with every
+  // larger batch, and the transport I/O thread already coalesces the
+  // backlog it finds into one write.
+  std::size_t sent = 0;
+  net::Message m;
+  m.type = net::MessageType::kUnitBatch;
+  m.pilot_id = pilot_id;
+  m.units.resize(1);
+  std::string frame;
+  for (; sent < units.size(); ++sent) {
+    m.seq = first_seq + sent;
+    std::swap(m.units.front(), units[sent]);
+    frame.clear();
+    net::append_message_frame(frame, m);
+    std::swap(m.units.front(), units[sent]);
+    if (!conn->send_gather(frame, 1)) {
+      break;
+    }
+  }
+  if (batch_size_ != nullptr && sent > 0) {
+    batch_size_->record(static_cast<double>(sent));
+  }
+  if (sent == units.size()) {
+    return;
+  }
+  if (send_rejected_ != nullptr) {
+    send_rejected_->inc();
+  }
+  check::MutexLock lock(mutex_);
+  const auto it = pilots_.find(pilot_id);
+  if (it == pilots_.end()) {
+    return;  // died meanwhile; the orphan requeue owns these attempts
+  }
+  // Nothing after the rejected frame shipped: return those units, in
+  // order, to the front of the queue with their credits. The heartbeat
+  // thread retries them every millisecond until the transport takes them.
+  PilotEntry& entry = *it->second;
+  entry.window += static_cast<std::int64_t>(units.size() - sent);
+  for (std::size_t i = units.size(); i > sent; --i) {
+    entry.queued.push_front(std::move(units[i - 1]));
+  }
+  cv_.notify_all();
+}
 
-  std::vector<net::Message> retained;
-  for (auto& [pilot_id, msgs] : groups) {
-    std::size_t i = 0;
-    bool drop_rest = false;
-    while (i < msgs.size()) {
-      net::ConnectionPtr conn;
-      std::size_t take = 0;
-      std::size_t cap = 1;
-      net::Message b;  // merged kUnitBatch under construction
-      arena_.clear();
-      {
-        check::MutexLock lock(mutex_);
-        const auto it = pilots_.find(pilot_id);
-        if (it == pilots_.end()) {
-          // Pilot cancelled or failed: its in-flight attempts already
-          // belong to the service's orphan requeue; dropping the stale
-          // dispatches is the correct end state.
-          drop_rest = true;
-        } else {
-          auto& entry = *it->second;
-          conn = entry.conn;
-          cap = std::max<std::size_t>(1, entry.flush_cap);
-          if (conn != nullptr && entry.window > 0) {
-            take = std::min({msgs.size() - i,
-                             static_cast<std::size_t>(entry.window), cap});
-          }
-          // Reserve the credits NOW, atomically with computing `take`.
-          // Debiting after the (unlocked) send raced with the agent's
-          // absolute window refresh: if the completion batch for these
-          // very units landed between send and debit, the debit applied
-          // on top of a window that already accounted for them, leaking
-          // credits until the window wedged at 0 with an idle agent —
-          // a permanent dispatch stall. Reserve-then-send closes that
-          // window; a transport reject credits the reservation back.
-          entry.window -= static_cast<std::int64_t>(take);
-          if (take > 0) {
-            b.type = net::MessageType::kUnitBatch;
-            b.pilot_id = pilot_id;
-            b.seq = entry.seq++;
-            b.units.reserve(take);
-            for (std::size_t j = 0; j < take; ++j) {
-              b.units.push_back(std::move(msgs[i + j].units.front()));
-            }
-            net::append_message_frame(arena_, b);
-          }
-        }
-      }
-      if (drop_rest || take == 0) {
-        break;  // drop, or retain msgs[i..) below (no conn / no window)
-      }
-      if (conn->send_gather(arena_, 1)) {
-        {
-          check::MutexLock lock(mutex_);
-          const auto it = pilots_.find(pilot_id);
-          if (it != pilots_.end()) {
-            it->second->flush_cap = std::min(
-                cap * 2, std::max<std::size_t>(1, config_.flusher.max_batch));
-          }
-        }
-        i += take;
-      } else {
-        if (config_.metrics != nullptr) {
-          config_.metrics->counter("net.send_rejected").inc();
-        }
-        {
-          check::MutexLock lock(mutex_);
-          const auto it = pilots_.find(pilot_id);
-          if (it != pilots_.end()) {
-            // Nothing shipped: return the reserved credits (a concurrent
-            // absolute refresh may make this a transient over-grant,
-            // which only deepens the agent queue; never a loss) and
-            // shrink the next frame until it fits the send queue.
-            it->second->window += static_cast<std::int64_t>(take);
-            it->second->flush_cap = cap > 1 ? cap / 2 : 1;
-          }
-        }
-        // The units were moved into the rejected batch frame; move them
-        // back so the retry re-encodes them.
-        for (std::size_t j = 0; j < take; ++j) {
-          msgs[i + j].units.front() = std::move(b.units[j]);
-        }
-        break;  // retain msgs[i..)
-      }
-    }
-    if (!drop_rest) {
-      for (std::size_t j = i; j < msgs.size(); ++j) {
-        retained.push_back(std::move(msgs[j]));
-      }
+std::vector<std::string> RemoteRuntime::stalled_pilots_locked() const {
+  std::vector<std::string> stalled;
+  for (const auto& [id, entry] : pilots_) {
+    if (entry->conn != nullptr && entry->window > 0 &&
+        !entry->queued.empty()) {
+      stalled.push_back(id);
     }
   }
-  return retained;
+  return stalled;
 }
 
 void RemoteRuntime::drive_until(const std::function<bool()>& predicate,
@@ -1064,11 +1031,14 @@ void RemoteRuntime::handle_message(
         }
         it->second->active = true;
         it->second->last_alive = now();
-        // Seed the dispatch window: factor × cores keeps the agent's
-        // late-binding queue fed while real cores drain it.
+        // Seed the dispatch credits: factor × cores keeps the agent's
+        // late-binding queue fed while real cores drain it. A re-announce
+        // after a reconnect re-seeds net of the units still in flight.
         it->second->window =
             static_cast<std::int64_t>(m.total_cores) *
-            config_.dispatch_window_factor;
+                config_.dispatch_window_factor -
+            (static_cast<std::int64_t>(it->second->inflight.size()) -
+             static_cast<std::int64_t>(it->second->queued.size()));
         peer_endpoint = it->second->peer_endpoint;
         cb = it->second->callbacks.on_active;
       }
@@ -1088,7 +1058,7 @@ void RemoteRuntime::handle_message(
         cb(m.pilot_id, m.total_cores * config_.dispatch_window_factor,
            m.site);
       }
-      dispatch_->kick();  // units may already be queued for this pilot
+      ship_units(m.pilot_id);  // units may already be queued for this pilot
       break;
     }
     case net::MessageType::kPilotTerminated: {
@@ -1104,6 +1074,7 @@ void RemoteRuntime::handle_message(
         }
         cb = it->second->callbacks.on_terminated;
         pilots_.erase(it);
+        ended_.insert(m.pilot_id);
       }
       // Data-plane half of the death: drop the shard's replicas, fail
       // waiting ensures, re-replicate what fell below target.
@@ -1142,9 +1113,6 @@ void RemoteRuntime::handle_message(
           return;
         }
         it->second->last_alive = now();
-        // Absolute refresh from the agent's self-reported headroom: this
-        // corrects any credit drift from retained or lost frames.
-        it->second->window = m.window;
         dones.reserve(m.completions.size());
         for (const net::WireUnitDone& d : m.completions) {
           const auto unit_it = it->second->inflight.find(d.unit_id);
@@ -1153,6 +1121,10 @@ void RemoteRuntime::handle_message(
             it->second->inflight.erase(unit_it);
           }
         }
+        // One credit per unit we knew: a duplicate completion must not
+        // mint credit. (m.window, the agent's own headroom, is not needed
+        // for this count.)
+        it->second->window += static_cast<std::int64_t>(dones.size());
       }
       if (config_.metrics != nullptr) {
         config_.metrics->counter("net.units_done")
@@ -1163,7 +1135,7 @@ void RemoteRuntime::handle_message(
           done(success);
         }
       }
-      dispatch_->kick();  // fresh window: ship whatever queued up
+      ship_units(m.pilot_id);  // fresh credit: ship whatever queued up
       break;
     }
     case net::MessageType::kHeartbeatAck: {
@@ -1195,19 +1167,44 @@ void RemoteRuntime::heartbeat_loop() {
   };
   const double deadline_seconds =
       config_.heartbeat_interval_seconds * config_.heartbeat_miss_limit;
+  // While a transport reject leaves units behind, wake every millisecond
+  // to re-offer them; heartbeats keep their own cadence.
+  constexpr double kRetrySeconds = 0.001;
+  double next_beat = now() + config_.heartbeat_interval_seconds;
   check::MutexLock lock(mutex_);
   while (!stopping_) {
-    cv_.wait_for(lock, config_.heartbeat_interval_seconds);
+    const double until_beat = next_beat - now();
+    if (until_beat > 0.0) {
+      cv_.wait_for(lock, stalled_pilots_locked().empty()
+                             ? until_beat
+                             : std::min(kRetrySeconds, until_beat));
+    }
     if (stopping_) {
       return;
     }
+    if (const std::vector<std::string> stalled = stalled_pilots_locked();
+        !stalled.empty()) {
+      lock.unlock();
+      for (const std::string& id : stalled) {
+        ship_units(id);
+      }
+      lock.lock();
+      if (stopping_) {
+        return;
+      }
+    }
     const double t = now();
+    if (t < next_beat) {
+      continue;
+    }
+    next_beat = t + config_.heartbeat_interval_seconds;
     std::vector<std::pair<net::ConnectionPtr, net::Message>> pings;
     std::vector<DeadPilot> dead;
     std::vector<net::ConnectionPtr> zombies;
     std::uint64_t reconnects = 0;
     std::int64_t window_sum = 0;
     std::uint64_t inflight_sum = 0;
+    std::uint64_t queued_sum = 0;
     for (auto it = pilots_.begin(); it != pilots_.end();) {
       auto& entry = it->second;
       if (t - entry->last_alive > deadline_seconds) {
@@ -1216,6 +1213,7 @@ void RemoteRuntime::heartbeat_loop() {
         // middleware's orphan requeue for every in-flight unit.
         dead.push_back(DeadPilot{it->first, entry->conn,
                                  entry->callbacks.on_terminated});
+        ended_.insert(it->first);
         it = pilots_.erase(it);
         continue;
       }
@@ -1230,6 +1228,7 @@ void RemoteRuntime::heartbeat_loop() {
       }
       window_sum += entry->window;
       inflight_sum += entry->inflight.size();
+      queued_sum += entry->queued.size();
       ++it;
     }
     zombies.swap(zombies_);
@@ -1288,7 +1287,7 @@ void RemoteRuntime::heartbeat_loop() {
       config_.metrics->gauge("net.dispatch_inflight")
           .set(static_cast<double>(inflight_sum));
       config_.metrics->gauge("net.dispatch_pending")
-          .set(static_cast<double>(dispatch_->pending()));
+          .set(static_cast<double>(queued_sum));
     }
     lock.lock();
   }

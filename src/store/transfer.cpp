@@ -11,15 +11,12 @@ TransferScheduler::TransferScheduler(TransferSchedulerConfig config)
   pump_config.max_batch =
       config_.chunks_per_pass == 0 ? 1 : config_.chunks_per_pass;
   pump_config.retry_delay_seconds = config_.retry_delay_seconds;
-  // The pump keeps its own metrics detached: mixing multi-hundred-KiB
-  // data frames into the control plane's net.batch_size histogram would
-  // make the E14e batching numbers unreadable. Data-plane volume is
-  // exported as store.* counters by StoreManager instead.
+  // Data-plane volume is exported as store.* counters by StoreManager.
   pump_ = std::make_unique<net::BatchFlusher>(
-      [this](std::vector<net::Message> batch, net::FlushReason reason) {
-        return pump_sink(std::move(batch), reason);
+      [this](std::vector<net::Message> batch, bool closing) {
+        return pump_sink(std::move(batch), closing);
       },
-      pump_config, nullptr);
+      pump_config);
 }
 
 TransferScheduler::~TransferScheduler() { close(); }
@@ -61,7 +58,7 @@ void TransferScheduler::push_object(const std::string& pilot_id,
     s.total = total_bytes;
     streams_.push_back(std::move(s));
   }
-  // Prime the pump: an idle flusher only wakes for pushed messages, so
+  // Prime the pump: an idle pump only wakes for pushed messages, so
   // the first frame travels through the queue and the sink's prefetch
   // keeps the cursor alive from there.
   if (std::optional<net::Message> first = next_stream_frame({})) {
@@ -150,7 +147,7 @@ std::optional<net::Message> TransferScheduler::next_stream_frame(
 }
 
 std::vector<net::Message> TransferScheduler::pump_sink(
-    std::vector<net::Message> batch, net::FlushReason reason) {
+    std::vector<net::Message> batch, bool closing) {
   std::vector<net::Message> retained;
   if (!sender_) {
     return batch;  // not attached yet; retry after backoff
@@ -191,7 +188,7 @@ std::vector<net::Message> TransferScheduler::pump_sink(
   // generating more now would reorder them.
   const std::size_t cap =
       config_.chunks_per_pass == 0 ? 1 : config_.chunks_per_pass;
-  if (reason != net::FlushReason::kClose && batch.size() < cap) {
+  if (!closing && batch.size() < cap) {
     while (sent_this_pass < cap) {
       std::optional<net::Message> next = next_stream_frame(busy);
       if (!next) {
@@ -216,7 +213,7 @@ std::vector<net::Message> TransferScheduler::pump_sink(
           break;
       }
     }
-    // The flusher sleeps once its queue drains, so while cursors still
+    // The pump sleeps once its queue drains, so while cursors still
     // have work we retain one prefetched frame unsent: it re-enters the
     // sink after the retry backoff and keeps the stream moving. Appended
     // last so it lands behind any busy-retained frames for its pilot.

@@ -4,7 +4,9 @@
 #include <memory>
 #include <thread>
 
+#include "pa/check/mutex.h"
 #include "pa/common/error.h"
+#include "pa/common/time_utils.h"
 #include "pa/core/pilot_compute_service.h"
 #include "pa/rt/local_runtime.h"
 
@@ -200,6 +202,119 @@ TEST_F(LocalServiceTest, BurnCpuPayloadDefaultsFromDuration) {
   ComputeUnit unit = service_->submit_unit(d);
   EXPECT_EQ(unit.wait(30.0), UnitState::kDone);
   EXPECT_GE(unit.times().exec_time(), 0.04);
+}
+
+/// A runtime that holds on to every callback it is given and fires them
+/// only when told to, from any thread: the shape of a remote agent whose
+/// completions arrive while (or after) the service is torn down.
+class DeferredRuntime : public Runtime {
+ public:
+  void start_pilot(const std::string& pilot_id,
+                   const PilotDescription& description,
+                   PilotRuntimeCallbacks callbacks) override {
+    callbacks.on_active(pilot_id, description.nodes, "deferred");
+    check::MutexLock lock(mu_);
+    pilots_.emplace_back(pilot_id, std::move(callbacks));
+  }
+  void cancel_pilot(const std::string& pilot_id) override {
+    PilotRuntimeCallbacks callbacks;
+    {
+      check::MutexLock lock(mu_);
+      for (const auto& [id, cb] : pilots_) {
+        if (id == pilot_id) {
+          callbacks = cb;
+        }
+      }
+    }
+    if (callbacks.on_terminated) {
+      callbacks.on_terminated(pilot_id, PilotState::kCanceled);
+    }
+  }
+  void execute_unit(const std::string& /*pilot_id*/,
+                    const ComputeUnitDescription& /*description*/,
+                    const std::string& /*unit_id*/,
+                    std::function<void(bool)> on_done) override {
+    check::MutexLock lock(mu_);
+    done_.push_back(std::move(on_done));
+  }
+  double now() const override { return wall_seconds(); }
+  void drive_until(const std::function<bool()>& predicate,
+                   double timeout_seconds) override {
+    const double deadline = wall_seconds() + timeout_seconds;
+    while (!predicate()) {
+      if (wall_seconds() > deadline) {
+        throw TimeoutError("deferred runtime wait timed out");
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+
+  std::size_t held() {
+    check::MutexLock lock(mu_);
+    return done_.size();
+  }
+  /// Fires every held completion, then re-announces and re-terminates
+  /// every pilot, with no lock held.
+  void fire_all() {
+    std::vector<std::function<void(bool)>> done;
+    std::vector<std::pair<std::string, PilotRuntimeCallbacks>> pilots;
+    {
+      check::MutexLock lock(mu_);
+      done.swap(done_);
+      pilots = pilots_;
+    }
+    for (auto& d : done) {
+      d(true);
+    }
+    for (const auto& [id, cb] : pilots) {
+      cb.on_active(id, 1, "deferred");
+      cb.on_terminated(id, PilotState::kFailed);
+    }
+  }
+
+ private:
+  check::Mutex mu_{check::LockRank::kLeaf, "test.deferred_runtime"};
+  std::vector<std::function<void(bool)>> done_ PA_GUARDED_BY(mu_);
+  std::vector<std::pair<std::string, PilotRuntimeCallbacks>> pilots_
+      PA_GUARDED_BY(mu_);
+};
+
+// Runtime callbacks that fire while the service is being torn down, and
+// after it is gone, must be dropped: they may not reach a freed shard or
+// control plane (run under ASan to see the difference).
+TEST(ServiceTeardown, LateRuntimeCallbacksAreDropped) {
+  DeferredRuntime runtime;
+  constexpr int kUnits = 64;
+  auto service = std::make_unique<PilotComputeService>(runtime, "backfill");
+  PilotDescription d;
+  d.resource_url = "local://host";
+  d.nodes = kUnits;
+  d.walltime = 1e9;
+  service->submit_pilot(d).wait_active(10.0);
+  for (int i = 0; i < kUnits; ++i) {
+    ComputeUnitDescription u;
+    u.duration = 0.0;
+    service->submit_unit(u);
+  }
+  const double start = wall_seconds();
+  while (runtime.held() < static_cast<std::size_t>(kUnits) &&
+         wall_seconds() - start < 10.0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_EQ(runtime.held(), static_cast<std::size_t>(kUnits));
+
+  // Completions race the teardown, then arrive after it.
+  std::atomic<bool> go{false};
+  std::thread completer([&] {
+    while (!go.load()) {
+      std::this_thread::yield();
+    }
+    runtime.fire_all();
+  });
+  go.store(true);
+  service.reset();
+  completer.join();
+  runtime.fire_all();  // re-fires pilot callbacks into the dead service
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "pa/check/mutex.h"
 #include "pa/net/flusher.h"
-#include "pa/obs/metrics.h"
 
 namespace pa::net {
 namespace {
@@ -37,20 +36,22 @@ bool wait_until(const std::function<bool()>& predicate,
   return true;
 }
 
-/// Sink that records every delivered batch (size + reason) and can be told
-/// to reject deliveries. Uses a kLeaf mutex so it composes with the
-/// flusher's own lock from the sink thread.
+/// Sink that records every delivered batch (size + closing flag) and can
+/// be told to reject deliveries. Uses a kLeaf mutex so it composes with
+/// the flusher's own lock from the sink thread.
 class RecordingSink {
  public:
   BatchFlusher::Sink fn() {
-    return [this](std::vector<Message> batch, FlushReason reason) {
+    return [this](std::vector<Message> batch, bool closing) {
       check::MutexLock lock(mu_);
-      if (reject_next_ > 0) {
-        --reject_next_;
+      if (reject_next_ > 0 || (hold_until_close_ && !closing)) {
+        if (reject_next_ > 0) {
+          --reject_next_;
+        }
         return batch;  // retain everything
       }
       batch_sizes_.push_back(batch.size());
-      reasons_.push_back(reason);
+      closing_.push_back(closing);
       for (auto& m : batch) {
         delivered_.push_back(std::move(m.completions.front().unit_id));
       }
@@ -61,6 +62,11 @@ class RecordingSink {
   void reject_next(int n) {
     check::MutexLock lock(mu_);
     reject_next_ = n;
+  }
+  /// Retains every batch until the final attempt of close().
+  void hold_until_close() {
+    check::MutexLock lock(mu_);
+    hold_until_close_ = true;
   }
 
   std::size_t delivered_count() const {
@@ -75,103 +81,60 @@ class RecordingSink {
     check::MutexLock lock(mu_);
     return batch_sizes_;
   }
-  std::vector<FlushReason> reasons() const {
+  std::vector<bool> closing() const {
     check::MutexLock lock(mu_);
-    return reasons_;
+    return closing_;
   }
 
  private:
   mutable check::Mutex mu_{check::LockRank::kLeaf, "test.recording_sink"};
   int reject_next_ PA_GUARDED_BY(mu_) = 0;
+  bool hold_until_close_ PA_GUARDED_BY(mu_) = false;
   std::vector<std::string> delivered_ PA_GUARDED_BY(mu_);
   std::vector<std::size_t> batch_sizes_ PA_GUARDED_BY(mu_);
-  std::vector<FlushReason> reasons_ PA_GUARDED_BY(mu_);
+  std::vector<bool> closing_ PA_GUARDED_BY(mu_);
 };
 
-BatchFlusherConfig manual_config() {
-  // Neither eager nor time-triggered within any test's lifetime: only the
-  // size trigger (or an explicit kick/flush/close) delivers.
+BatchFlusherConfig test_config() {
   BatchFlusherConfig c;
   c.max_batch = 8;
-  c.max_delay_seconds = 3600.0;
   c.retry_delay_seconds = 0.0005;
-  c.eager = false;
   return c;
 }
 
-TEST(BatchFlusher, SizeTriggerDeliversFullBatch) {
-  RecordingSink sink;
-  BatchFlusher flusher(sink.fn(), manual_config());
-  for (int i = 0; i < 8; ++i) {
-    flusher.push(unit_done(i));
-  }
-  ASSERT_TRUE(wait_until([&] { return sink.delivered_count() == 8; }));
-  ASSERT_EQ(sink.batch_sizes().size(), 1u);
-  EXPECT_EQ(sink.batch_sizes()[0], 8u);
-  EXPECT_EQ(sink.reasons()[0], FlushReason::kSize);
-  EXPECT_EQ(flusher.pending(), 0u);
-}
-
-TEST(BatchFlusher, TimeTriggerFlushesPartialBatch) {
-  BatchFlusherConfig config = manual_config();
-  config.max_delay_seconds = 0.005;
-  RecordingSink sink;
-  BatchFlusher flusher(sink.fn(), config);
-  flusher.push(unit_done(0));
-  flusher.push(unit_done(1));
-  ASSERT_TRUE(wait_until([&] { return sink.delivered_count() == 2; }));
-  ASSERT_EQ(sink.batch_sizes().size(), 1u);
-  EXPECT_EQ(sink.batch_sizes()[0], 2u);
-  EXPECT_EQ(sink.reasons()[0], FlushReason::kTime);
-}
-
 TEST(BatchFlusher, EagerModeDeliversWithoutTriggers) {
-  BatchFlusherConfig config = manual_config();
-  config.eager = true;
   RecordingSink sink;
-  BatchFlusher flusher(sink.fn(), config);
+  BatchFlusher flusher(sink.fn(), test_config());
   flusher.push(unit_done(0));
   ASSERT_TRUE(wait_until([&] { return sink.delivered_count() == 1; }));
-  EXPECT_EQ(sink.reasons()[0], FlushReason::kEager);
+  EXPECT_FALSE(sink.closing()[0]);
 }
 
 TEST(BatchFlusher, CloseFlushesRemainder) {
   RecordingSink sink;
-  BatchFlusher flusher(sink.fn(), manual_config());
+  sink.hold_until_close();
+  BatchFlusher flusher(sink.fn(), test_config());
   for (int i = 0; i < 5; ++i) {
-    flusher.push(unit_done(i));  // below max_batch: nothing delivers yet
+    flusher.push(unit_done(i));  // retained and retried until close()
   }
   flusher.close();
   EXPECT_EQ(sink.delivered_count(), 5u);
-  ASSERT_EQ(sink.reasons().size(), 1u);
-  EXPECT_EQ(sink.reasons()[0], FlushReason::kClose);
+  ASSERT_EQ(sink.closing().size(), 1u);
+  EXPECT_TRUE(sink.closing()[0]);
   EXPECT_EQ(flusher.dropped_on_close(), 0u);
 }
 
 TEST(BatchFlusher, EmptyFlushIsNoOp) {
   RecordingSink sink;
-  BatchFlusher flusher(sink.fn(), manual_config());
-  flusher.kick();
-  flusher.flush();
+  BatchFlusher flusher(sink.fn(), test_config());
   flusher.close();
   EXPECT_EQ(sink.delivered_count(), 0u);
-  EXPECT_TRUE(sink.reasons().empty());  // sink never invoked
-}
-
-TEST(BatchFlusher, ExplicitFlushDeliversPartialBatch) {
-  RecordingSink sink;
-  BatchFlusher flusher(sink.fn(), manual_config());
-  flusher.push(unit_done(0));
-  flusher.flush();
-  ASSERT_TRUE(wait_until([&] { return sink.delivered_count() == 1; }));
-  EXPECT_EQ(sink.reasons()[0], FlushReason::kExplicit);
+  EXPECT_TRUE(sink.closing().empty());  // sink never invoked
 }
 
 TEST(BatchFlusher, RejectedBatchIsRetriedInOrder) {
   RecordingSink sink;
-  BatchFlusherConfig config = manual_config();
-  config.eager = true;
-  BatchFlusher flusher(sink.fn(), config);
+  BatchFlusher flusher(sink.fn(), test_config());
   sink.reject_next(3);
   for (int i = 0; i < 4; ++i) {
     flusher.push(unit_done(i));
@@ -186,7 +149,7 @@ TEST(BatchFlusher, RejectedBatchIsRetriedInOrder) {
 
 TEST(BatchFlusher, PushAfterCloseIsDroppedAndCounted) {
   RecordingSink sink;
-  BatchFlusher flusher(sink.fn(), manual_config());
+  BatchFlusher flusher(sink.fn(), test_config());
   flusher.close();
   flusher.push(unit_done(0));
   EXPECT_EQ(sink.delivered_count(), 0u);
@@ -195,8 +158,8 @@ TEST(BatchFlusher, PushAfterCloseIsDroppedAndCounted) {
 
 TEST(BatchFlusher, UndeliverableMessagesDropOnClose) {
   RecordingSink sink;
-  BatchFlusher flusher(sink.fn(), manual_config());
-  sink.reject_next(1000);  // covers retries and the final kClose attempt
+  BatchFlusher flusher(sink.fn(), test_config());
+  sink.reject_next(1000);  // covers retries and the final closing attempt
   flusher.push(unit_done(0));
   flusher.push(unit_done(1));
   flusher.close();
@@ -204,25 +167,8 @@ TEST(BatchFlusher, UndeliverableMessagesDropOnClose) {
   EXPECT_EQ(flusher.dropped_on_close(), 2u);
 }
 
-TEST(BatchFlusher, ExportsBatchMetrics) {
-  obs::MetricsRegistry metrics;
-  RecordingSink sink;
-  {
-    BatchFlusher flusher(sink.fn(), manual_config(), &metrics);
-    for (int i = 0; i < 8; ++i) {
-      flusher.push(unit_done(i));
-    }
-    ASSERT_TRUE(wait_until([&] { return sink.delivered_count() == 8; }));
-  }
-  EXPECT_EQ(metrics.histogram("net.batch_size", 1.0, 1e6).snapshot().count(),
-            1u);
-  EXPECT_EQ(metrics.counter("net.flush_size").value(), 1u);
-  EXPECT_EQ(metrics.counter("net.flush_dropped_on_close").value(), 0u);
-}
-
 TEST(BatchFlusher, ConcurrentPushersAllDeliver) {
-  BatchFlusherConfig config = manual_config();
-  config.eager = true;
+  BatchFlusherConfig config = test_config();
   config.max_batch = 32;
   RecordingSink sink;
   BatchFlusher flusher(sink.fn(), config);
@@ -244,6 +190,9 @@ TEST(BatchFlusher, ConcurrentPushersAllDeliver) {
       [&] { return sink.delivered_count() == kThreads * kPerThread; }));
   flusher.close();
   EXPECT_EQ(flusher.dropped_on_close(), 0u);
+  for (const std::size_t size : sink.batch_sizes()) {
+    EXPECT_LE(size, config.max_batch);
+  }
 }
 
 }  // namespace

@@ -110,15 +110,13 @@ void run_workload(PilotComputeService& service, int unit_count,
 struct RemoteStack {
   RemoteStack(net::Transport& transport, const std::string& listen_endpoint,
               double heartbeat_interval = 0.1, int miss_limit = 30,
-              obs::MetricsRegistry* metrics = nullptr,
-              net::BatchFlusherConfig manager_flusher = {})
+              obs::MetricsRegistry* metrics = nullptr)
       : farm(transport) {
     RemoteRuntimeConfig config;
     config.listen_endpoint = listen_endpoint;
     config.heartbeat_interval_seconds = heartbeat_interval;
     config.heartbeat_miss_limit = miss_limit;
     config.metrics = metrics;
-    config.flusher = manager_flusher;
     config.launcher = [this](const std::string& pilot_id,
                              const std::string& endpoint) {
       farm.create(pilot_id, endpoint, runtime->payloads(), agent_config);
@@ -128,13 +126,88 @@ struct RemoteStack {
   }
 
   /// Applied to agents the launcher creates from this point on; set it
-  /// before submitting pilots (test hook for flusher and store
+  /// before submitting pilots (test hook for queue and store
   /// configurations).
   AgentEndpointConfig agent_config;
   AgentFarm farm;
   std::unique_ptr<RemoteRuntime> runtime;
   std::unique_ptr<PilotComputeService> service;
 };
+
+/// Stalls the InProc transport's single delivery thread, which serves
+/// every connection, until release(): frames pile up against each
+/// receiver's byte bound, so senders meet backpressure deterministically.
+class DeliveryStall {
+ public:
+  DeliveryStall(net::InProcTransport& transport, const std::string& name) {
+    transport.listen(name, [this](const net::ConnectionPtr&) {
+      net::ConnectionHandlers h;
+      h.on_message = [this](const std::string&) {
+        entered_.store(true);
+        while (!released_.load()) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      };
+      return h;
+    });
+    client_ = transport.connect(name, {});
+  }
+  ~DeliveryStall() { release(); }
+
+  /// Returns once the delivery thread is parked in the stall.
+  void engage() {
+    net::Message m;
+    m.type = net::MessageType::kHeartbeat;
+    std::string frame;
+    net::append_message_frame(frame, m);
+    ASSERT_TRUE(client_->send(std::move(frame)));
+    const double start = pa::wall_seconds();
+    while (!entered_.load() && pa::wall_seconds() - start < 10.0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_TRUE(entered_.load());
+  }
+  void release() { released_.store(true); }
+
+ private:
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> released_{false};
+  net::ConnectionPtr client_;
+};
+
+/// Polls `done` every 200 us for up to `timeout` seconds.
+bool wait_for(const std::function<bool()>& done, double timeout = 20.0) {
+  const double start = pa::wall_seconds();
+  while (!done()) {
+    if (pa::wall_seconds() - start > timeout) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+/// Size of one completion frame as the agent encodes it.
+std::size_t completion_frame_bytes(const std::string& pilot_id,
+                                   const std::string& unit_id) {
+  net::Message m;
+  m.type = net::MessageType::kUnitDoneBatch;
+  m.pilot_id = pilot_id;
+  m.completions.push_back(net::WireUnitDone{unit_id, true, 0.0});
+  std::string frame;
+  net::append_message_frame(frame, m);
+  return frame.size();
+}
+
+std::uint64_t counter_value(const obs::MetricsRegistry& registry,
+                            const std::string& name) {
+  for (const auto& [n, value] : registry.counters()) {
+    if (n == name) {
+      return value;
+    }
+  }
+  return 0;
+}
 
 TEST(RemoteRuntime, TwoPilotsHundredUnitsMatchLocalOverInProc) {
   // Remote run.
@@ -227,6 +300,28 @@ TEST(RemoteRuntime, CancelPilotTerminatesSynchronously) {
   pilot.wait_active(10.0);
   pilot.cancel();
   EXPECT_EQ(pilot.state(), PilotState::kCanceled);
+  transport.stop();
+}
+
+// A dispatch that races the service applying a pilot's termination is
+// dropped quietly (the orphan requeue owns the unit); it used to surface
+// as a "fire-and-forget command failed: unknown pilot" warning. A pilot id
+// the runtime never saw is still refused.
+TEST(RemoteRuntime, DispatchRacingPilotEndIsDropped) {
+  net::InProcTransport transport;
+  RemoteStack stack(transport, "inproc://manager");
+  Pilot pilot = stack.service->submit_pilot(remote_pilot(2));
+  pilot.wait_active(10.0);
+  pilot.cancel();
+  ComputeUnitDescription d;
+  d.work = [] {};
+  bool called = false;
+  EXPECT_NO_THROW(stack.runtime->execute_unit(
+      pilot.id(), d, "late-unit", [&called](bool) { called = true; }));
+  EXPECT_THROW(
+      stack.runtime->execute_unit("pilot-never", d, "stray-unit", [](bool) {}),
+      pa::NotFound);
+  EXPECT_FALSE(called);
   transport.stop();
 }
 
@@ -368,124 +463,164 @@ TEST(RemoteRuntime, HeartbeatMetricsRecorded) {
   transport.stop();
 }
 
-// Satellite regression: the agent send path must buffer-and-retry under
+/// A manager stand-in that speaks just enough protocol to drive one agent:
+/// answers every kHello with kStartPilot (1 core) on the connection that
+/// sent it and records completions.
+struct MiniManager {
+  check::Mutex mu{check::LockRank::kLeaf, "test.mini_manager"};
+  net::ConnectionPtr conn PA_GUARDED_BY(mu);
+  std::vector<std::string> completions PA_GUARDED_BY(mu);
+  bool active PA_GUARDED_BY(mu) = false;
+
+  net::AcceptHandler acceptor() {
+    return [this](const net::ConnectionPtr& accepted) {
+      net::ConnectionHandlers h;
+      h.on_message = [this, weak = std::weak_ptr<net::Connection>(accepted)](
+                         const std::string& payload) {
+        const net::ConnectionPtr from = weak.lock();
+        const net::Message m =
+            net::decode_message(payload.data(), payload.size());
+        switch (m.type) {
+          case net::MessageType::kHello: {
+            {
+              check::MutexLock lock(mu);
+              conn = from;
+            }
+            core::PilotDescription d;
+            d.resource_url = "remote://mini";
+            d.nodes = 1;
+            d.walltime = 1e9;
+            std::string frame;
+            net::append_message_frame(frame,
+                                      net::make_start_pilot(m.pilot_id, d));
+            EXPECT_TRUE(from != nullptr && from->send(std::move(frame)));
+            break;
+          }
+          case net::MessageType::kPilotActive: {
+            check::MutexLock lock(mu);
+            active = true;
+            break;
+          }
+          case net::MessageType::kUnitDoneBatch: {
+            check::MutexLock lock(mu);
+            for (const net::WireUnitDone& d : m.completions) {
+              completions.push_back(d.unit_id);
+            }
+            break;
+          }
+          default:
+            break;
+        }
+      };
+      return h;
+    };
+  }
+
+  bool is_active() {
+    check::MutexLock lock(mu);
+    return active;
+  }
+  net::ConnectionPtr connection() {
+    check::MutexLock lock(mu);
+    return conn;
+  }
+  std::vector<std::string> received() {
+    check::MutexLock lock(mu);
+    return completions;
+  }
+
+  /// Sends one kUnitBatch frame, retrying while the transport rejects it.
+  void send_units(const std::vector<net::WireUnitDescription>& units) {
+    net::Message batch;
+    batch.type = net::MessageType::kUnitBatch;
+    batch.pilot_id = pilot_id;
+    batch.units = units;
+    std::string frame;
+    net::append_message_frame(frame, batch);
+    const net::ConnectionPtr to_agent = connection();
+    ASSERT_NE(to_agent, nullptr);
+    ASSERT_TRUE(wait_for([&] { return to_agent->send(frame); }));
+  }
+
+  std::string pilot_id;
+};
+
+/// A unit that runs `work` from the shared payload table.
+net::WireUnitDescription parked_work_unit(PayloadTable& payloads,
+                                          const std::string& unit_id,
+                                          std::function<void()> work) {
+  net::WireUnitDescription u;
+  u.unit_id = unit_id;
+  u.duration = 0.0;  // the wire default is 1 s of burn
+  u.has_work = true;
+  payloads.put(unit_id, std::move(work));
+  return u;
+}
+
+std::size_t held(AgentEndpoint& agent) {
+  const AgentEndpoint::SchedulerStats s = agent.scheduler_stats();
+  return s.queued + s.outstanding;
+}
+
+// Regression: the agent send path must park and retry under
 // backpressure, never silently drop (the old `(void)conn_->send(...)`).
-// A deliberately undersized send queue forces the transport to reject the
-// agent's merged completion frames; every completion must still arrive,
-// exactly once, while the frames shrink until they fit.
+// Delivery is stalled while 50 completions are produced, so the 256-byte
+// queue bound rejects most of them; every completion must still arrive,
+// exactly once.
 TEST(RemoteRuntime, BackpressuredAgentSendPathLosesNoCompletions) {
   net::InProcTransportConfig tc;
-  tc.max_queue_bytes = 256;  // a merged completion batch cannot fit
+  tc.max_queue_bytes = 256;
   net::InProcTransport transport(tc);
-
-  struct MiniManager {
-    check::Mutex mu{check::LockRank::kLeaf, "test.mini_manager"};
-    net::ConnectionPtr conn PA_GUARDED_BY(mu);
-    std::vector<std::string> completions PA_GUARDED_BY(mu);
-    bool active PA_GUARDED_BY(mu) = false;
-  } manager;
-
-  transport.listen(
-      "inproc://mini-manager", [&manager](const net::ConnectionPtr& conn) {
-        {
-          check::MutexLock lock(manager.mu);
-          manager.conn = conn;
-        }
-        net::ConnectionHandlers h;
-        h.on_message = [&manager, conn](const std::string& payload) {
-          const net::Message m =
-              net::decode_message(payload.data(), payload.size());
-          switch (m.type) {
-            case net::MessageType::kHello: {
-              core::PilotDescription d;
-              d.resource_url = "remote://mini";
-              d.nodes = 1;
-              d.walltime = 1e9;
-              std::string frame;
-              net::append_message_frame(frame,
-                                        net::make_start_pilot(m.pilot_id, d));
-              EXPECT_TRUE(conn->send(std::move(frame)));
-              break;
-            }
-            case net::MessageType::kPilotActive: {
-              check::MutexLock lock(manager.mu);
-              manager.active = true;
-              break;
-            }
-            case net::MessageType::kUnitDoneBatch: {
-              check::MutexLock lock(manager.mu);
-              for (const net::WireUnitDone& d : m.completions) {
-                manager.completions.push_back(d.unit_id);
-              }
-              break;
-            }
-            default:
-              break;
-          }
-        };
-        return h;
-      });
+  DeliveryStall stall(transport, "inproc://stall");
+  MiniManager manager;
+  manager.pilot_id = "pilot-bp";
+  transport.listen("inproc://mini-manager", manager.acceptor());
 
   auto payloads = std::make_shared<PayloadTable>();
   AgentEndpointConfig config;
   config.queue_factor = 64;
-  // Non-eager with a small delay: completions pile up, so the first flush
-  // merges far more than the send queue can hold — a guaranteed reject.
-  config.flusher.eager = false;
-  config.flusher.max_delay_seconds = 0.005;
   AgentEndpoint agent(transport, "inproc://mini-manager", "pilot-bp",
                       payloads, config);
+  ASSERT_TRUE(wait_for([&] { return manager.is_active(); }));
 
-  const double start = pa::wall_seconds();
-  auto wait_for = [&start](const std::function<bool()>& done) {
-    while (!done() && pa::wall_seconds() - start < 20.0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  };
-  wait_for([&manager] {
-    check::MutexLock lock(manager.mu);
-    return manager.active;
-  });
-  {
-    check::MutexLock lock(manager.mu);
-    ASSERT_TRUE(manager.active);
-  }
-
-  // Feed 50 no-op units in small kUnitBatch frames (the undersized queue
-  // throttles the manager→agent direction too; retry until accepted).
+  // Every unit waits for `release`, so all 50 sit at the agent before the
+  // first completion exists. Small frames: the bound throttles this
+  // direction too.
   constexpr int kUnits = 50;
-  net::ConnectionPtr to_agent;
-  {
-    check::MutexLock lock(manager.mu);
-    to_agent = manager.conn;
-  }
-  ASSERT_NE(to_agent, nullptr);
+  std::atomic<bool> release{false};
   for (int i = 0; i < kUnits; i += 2) {
-    net::Message batch;
-    batch.type = net::MessageType::kUnitBatch;
-    batch.pilot_id = "pilot-bp";
+    std::vector<net::WireUnitDescription> units;
     for (int j = i; j < std::min(i + 2, kUnits); ++j) {
-      net::WireUnitDescription u;
-      u.unit_id = "unit-" + std::to_string(j);
-      u.duration = 0.0;  // genuinely no-op: the wire default is 1s of burn
-      batch.units.push_back(std::move(u));
+      units.push_back(parked_work_unit(
+          *payloads, "unit-" + std::to_string(j), [&release] {
+            while (!release.load()) {
+              std::this_thread::sleep_for(std::chrono::microseconds(100));
+            }
+          }));
     }
-    std::string frame;
-    net::append_message_frame(frame, batch);
-    while (!to_agent->send(frame) && pa::wall_seconds() - start < 20.0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
+    manager.send_units(units);
   }
+  ASSERT_TRUE(wait_for([&] { return held(agent) == kUnits; }));
 
-  wait_for([&manager] {
-    check::MutexLock lock(manager.mu);
-    return manager.completions.size() >= kUnits;
-  });
-  std::vector<std::string> got;
-  {
-    check::MutexLock lock(manager.mu);
-    got = manager.completions;
-  }
+  stall.engage();
+  release.store(true);
+  ASSERT_TRUE(wait_for([&] { return held(agent) == 0; }));
+  EXPECT_GT(agent.scheduler_stats().parked, 0u);
+  stall.release();
+
+  // Parked frames are retried on every frame from the manager; heartbeat
+  // the way a real manager does until everything arrived.
+  const net::ConnectionPtr to_agent = manager.connection();
+  ASSERT_TRUE(wait_for([&] {
+    net::Message hb;
+    hb.type = net::MessageType::kHeartbeat;
+    hb.pilot_id = "pilot-bp";
+    std::string frame;
+    net::append_message_frame(frame, hb);
+    (void)to_agent->send(std::move(frame));
+    return manager.received().size() >= static_cast<std::size_t>(kUnits);
+  }));
+  const std::vector<std::string> got = manager.received();
   EXPECT_EQ(got.size(), static_cast<std::size_t>(kUnits));
   std::set<std::string> unique(got.begin(), got.end());
   EXPECT_EQ(unique.size(), static_cast<std::size_t>(kUnits))
@@ -496,98 +631,120 @@ TEST(RemoteRuntime, BackpressuredAgentSendPathLosesNoCompletions) {
 }
 
 // Full-stack flavor: an undersized queue between manager and agents must
-// cost only retries, never units. Exercises both directions (kUnitBatch
-// dispatch and kUnitDoneBatch completion) under adaptive frame shrinking.
+// cost only retries, never units. Delivery is stalled while the first
+// dispatch wave goes out, so one-unit kUnitBatch frames overflow the
+// 768-byte bound and come back to the manager's queue; completions run
+// through the same bound on the way back.
 TEST(RemoteRuntime, UndersizedSendQueueLosesNoUnits) {
   obs::MetricsRegistry registry;
   net::InProcTransportConfig tc;
   tc.max_queue_bytes = 768;
   net::InProcTransport transport(tc);
-  // Non-eager manager flusher: dispatches accumulate, so early batches
-  // exceed the queue bound and must shrink-and-retry.
-  net::BatchFlusherConfig manager_flusher;
-  manager_flusher.eager = false;
-  manager_flusher.max_delay_seconds = 0.002;
+  DeliveryStall stall(transport, "inproc://stall");
   RemoteStack stack(transport, "inproc://manager",
-                    /*heartbeat_interval=*/0.1, /*miss_limit=*/30, &registry,
-                    manager_flusher);
+                    /*heartbeat_interval=*/0.1, /*miss_limit=*/30, &registry);
   stack.agent_config.metrics = &registry;
-  // Non-eager agent outbox too: completions accumulate for 10ms before the
-  // first merge, so at least one kUnitDoneBatch frame is guaranteed to
-  // exceed the 768-byte queue no matter how the suite is scheduled.
-  stack.agent_config.flusher.eager = false;
-  stack.agent_config.flusher.max_delay_seconds = 0.01;
 
   Pilot pilot = stack.service->submit_pilot(remote_pilot(4, "site-a"));
   pilot.wait_active(10.0);
 
+  stall.engage();
+  std::thread releaser([&] {
+    wait_for([&] { return counter_value(registry, "net.send_rejected") > 0; },
+             10.0);
+    stall.release();
+  });
   constexpr int kUnits = 150;
   std::vector<int> results;
   run_workload(*stack.service, kUnits, results);
+  releaser.join();
   for (int i = 0; i < kUnits; ++i) {
     EXPECT_EQ(results[i], i * i) << "unit " << i;
   }
   EXPECT_EQ(stack.service->metrics().units_done,
             static_cast<std::size_t>(kUnits));
 
-  std::uint64_t rejected = 0;
-  for (const auto& [name, value] : registry.counters()) {
-    if (name == "net.send_rejected" || name == "net.agent_send_rejected") {
-      rejected += value;
-    }
-  }
+  const std::uint64_t rejected =
+      counter_value(registry, "net.send_rejected") +
+      counter_value(registry, "net.agent_send_rejected");
   EXPECT_GT(rejected, 0u) << "queue bound never hit: test exercised nothing";
   transport.stop();
 }
 
-// Satellite regression: completions sitting in the agent's outbox when the
-// agent dies must ship in the final exchange (dtor flush) — and units whose
+// Regression: completions parked in the agent when it dies must ship in
+// its final exchange (the destructor's last attempt), and units whose
 // completions did ship must NOT re-execute on the replacement pilot.
 TEST(RemoteRuntime, KilledAgentFlushesBufferedCompletionsExactlyOnce) {
-  net::InProcTransport transport;
+  // Room for four and a half completion frames: with delivery stalled,
+  // eight completions park about half of themselves.
+  const std::size_t frame = completion_frame_bytes("pilot-0", "unit-00");
+  net::InProcTransportConfig tc;
+  tc.max_queue_bytes = frame * 9 / 2;
+  net::InProcTransport transport(tc);
+  DeliveryStall stall(transport, "inproc://stall");
+  // Slow heartbeats, so nothing but the kill retries the park (a
+  // heartbeat that does only ships the parked frames early); the dead
+  // agent is still detected within 1.5 s.
   RemoteStack stack(transport, "inproc://manager",
-                    /*heartbeat_interval=*/0.02, /*miss_limit=*/3);
-  // Agent outbox that never flushes on its own: completions stay buffered
-  // until the endpoint is destroyed, maximizing what is "in flight" at
-  // kill time.
-  stack.agent_config.flusher.eager = false;
-  stack.agent_config.flusher.max_delay_seconds = 3600.0;
-  stack.agent_config.flusher.max_batch = 1 << 20;
+                    /*heartbeat_interval=*/0.5, /*miss_limit=*/3);
 
   Pilot p1 = stack.service->submit_pilot(remote_pilot(2, "site-a"));
   p1.wait_active(10.0);
+  AgentEndpoint* agent = stack.farm.agent(p1.id());
+  ASSERT_NE(agent, nullptr);
 
+  std::atomic<bool> release{false};
   std::atomic<int> executions{0};
-  constexpr int kUnits = 24;
-  std::vector<ComputeUnit> units;
-  for (int i = 0; i < kUnits; ++i) {
+  auto submit = [&](int i) {
     ComputeUnitDescription d;
     d.name = "unit-" + std::to_string(i);
-    d.work = [&executions]() { executions.fetch_add(1); };
-    units.push_back(stack.service->submit_unit(d));
+    d.work = [&release, &executions]() {
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      executions.fetch_add(1);
+    };
+    return stack.service->submit_unit(d);
+  };
+  // The whole credit window (2 cores × factor 4): nothing else is queued
+  // at the manager, so no unit frame can retry the park either.
+  constexpr int kFirst = 8;
+  constexpr int kUnits = 24;
+  std::vector<ComputeUnit> units;
+  for (int i = 0; i < kFirst; ++i) {
+    units.push_back(submit(i));
   }
-  // With completions never shipping, the manager's dispatch window (2
-  // cores × factor 4 = 8) exhausts after 8 units; the agent executes
-  // exactly those 8 and buffers their completions.
-  const double start = pa::wall_seconds();
-  while (executions.load() < 8 && pa::wall_seconds() - start < 10.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(executions.load(), 8);
-  // Let the last on_done land in the outbox before the kill.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(wait_for([&] { return held(*agent) == kFirst; }));
 
-  // Kill: ~AgentEndpoint flushes the outbox as its final exchange, THEN
-  // drops the connection. The 8 buffered completions must arrive.
+  stall.engage();
+  const std::uint64_t sent_before = agent->stats().messages_out;
+  release.store(true);
+  // Every completion was either accepted by the transport or parked.
+  ASSERT_TRUE(wait_for([&] {
+    return agent->stats().messages_out - sent_before +
+               agent->scheduler_stats().parked ==
+           static_cast<std::uint64_t>(kFirst);
+  }));
+  EXPECT_EQ(executions.load(), kFirst);
+  EXPECT_GT(agent->scheduler_stats().parked, 0u);
+  stall.release();
+  // The manager drains what the transport accepted; the park stays put.
+  ASSERT_TRUE(wait_for([&] { return agent->stats().send_queue_depth == 0; }));
+
+  // Kill: ~AgentEndpoint makes its final attempt at the park, THEN drops
+  // the connection. The parked completions must arrive.
   stack.farm.kill(p1.id());
+  ASSERT_TRUE(wait_for([&] { return p1.state() == PilotState::kFailed; }));
+  for (auto& u : units) {
+    EXPECT_EQ(u.state(), UnitState::kDone);
+  }
 
-  // The dead pilot fails via heartbeat deadline; a replacement picks up
-  // only the 16 units whose completions never shipped. The replacement
-  // gets a normal flusher — the buffered-outbox config was only there to
-  // maximize what the kill left in flight.
-  stack.agent_config = AgentEndpointConfig{};
+  // The rest runs on a replacement.
   Pilot p2 = stack.service->submit_pilot(remote_pilot(2, "site-b"));
   p2.wait_active(10.0);
+  for (int i = kFirst; i < kUnits; ++i) {
+    units.push_back(submit(i));
+  }
   stack.service->wait_all_units(120.0);
   for (auto& u : units) {
     EXPECT_EQ(u.state(), UnitState::kDone);
@@ -595,8 +752,198 @@ TEST(RemoteRuntime, KilledAgentFlushesBufferedCompletionsExactlyOnce) {
   EXPECT_EQ(stack.service->metrics().units_done,
             static_cast<std::size_t>(kUnits));
   // Exactly-once: 8 executions on the dead pilot + 16 on the replacement.
-  // A dropped final flush would re-execute the buffered 8 (executions 32).
+  // A dropped final attempt would re-execute the parked ones.
   EXPECT_EQ(executions.load(), kUnits);
+  transport.stop();
+}
+
+// A unit frame the transport rejects goes back to the manager's queue and
+// is re-sent by the heartbeat thread's 1 ms retry, with no completion or
+// new dispatch to prompt it.
+TEST(RemoteRuntime, RejectedUnitFrameIsResentByHeartbeatThread) {
+  ComputeUnitDescription probe;
+  probe.work = [] {};
+  net::Message unit_frame;
+  unit_frame.type = net::MessageType::kUnitBatch;
+  unit_frame.pilot_id = "pilot-0";
+  unit_frame.units.push_back(net::to_wire_unit("unit-0", probe, true));
+  std::string encoded;
+  net::append_message_frame(encoded, unit_frame);
+  std::string start;
+  net::append_message_frame(start,
+                            net::make_start_pilot("pilot-0", remote_pilot(1)));
+  // Room for the start frame and about one and a half unit frames.
+  net::InProcTransportConfig tc;
+  tc.max_queue_bytes = std::max(start.size(), encoded.size() * 3 / 2);
+  ASSERT_LT(tc.max_queue_bytes, encoded.size() * 4);
+  net::InProcTransport transport(tc);
+  DeliveryStall stall(transport, "inproc://stall");
+
+  obs::MetricsRegistry registry;
+  AgentFarm farm(transport);
+  std::unique_ptr<RemoteRuntime> runtime;
+  RemoteRuntimeConfig config;
+  config.listen_endpoint = "inproc://manager";
+  // The first regular beat comes 1 s after construction; the resend is
+  // checked long before that.
+  config.heartbeat_interval_seconds = 1.0;
+  config.metrics = &registry;
+  config.launcher = [&](const std::string& pilot_id,
+                        const std::string& endpoint) {
+    farm.create(pilot_id, endpoint, runtime->payloads());
+  };
+  runtime = std::make_unique<RemoteRuntime>(transport, std::move(config));
+  std::atomic<bool> active{false};
+  core::PilotRuntimeCallbacks callbacks;
+  callbacks.on_active = [&active](const std::string&, int,
+                                  const std::string&) { active.store(true); };
+  runtime->start_pilot("pilot-0", remote_pilot(1), std::move(callbacks));
+  ASSERT_TRUE(wait_for([&] { return active.load(); }));
+
+  // Units block, so no completion can return credit or prompt a resend.
+  stall.engage();
+  constexpr int kUnits = 4;  // the 1-core pilot's whole credit window
+  std::atomic<bool> release{false};
+  std::atomic<int> done{0};
+  for (int i = 0; i < kUnits; ++i) {
+    ComputeUnitDescription d;
+    d.work = [&release] {
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    };
+    runtime->execute_unit("pilot-0", d, "unit-" + std::to_string(i),
+                          [&done](bool ok) {
+                            if (ok) {
+                              done.fetch_add(1);
+                            }
+                          });
+  }
+  EXPECT_GT(counter_value(registry, "net.send_rejected"), 0u);
+  stall.release();
+
+  AgentEndpoint* agent = farm.agent("pilot-0");
+  ASSERT_NE(agent, nullptr);
+  EXPECT_TRUE(wait_for([&] { return held(*agent) == kUnits; }, 0.5))
+      << "rejected unit frames were never re-sent";
+  // Completions the same bound parks ship on the next heartbeat.
+  release.store(true);
+  EXPECT_TRUE(wait_for([&] { return done.load() == kUnits; }));
+  transport.stop();
+}
+
+// A completion parked while the agent's TCP stream is down ships after the
+// reconnect: the kHello goes first, and the manager's kStartPilot reply
+// retries the park.
+TEST(RemoteRuntime, ParkedCompletionShipsAfterTcpReconnect) {
+  PA_NET_REQUIRE_TCP();
+  const std::string pilot_id = "pilot-tcp";
+  const std::string id_tail(80, 'x');  // completions outweigh the hello
+  const std::size_t completion =
+      completion_frame_bytes(pilot_id, "unit-0-" + id_tail);
+  net::Message hello;
+  hello.type = net::MessageType::kHello;
+  hello.pilot_id = pilot_id;
+  hello.peer_endpoint = "127.0.0.1:65535";
+  std::string hello_frame;
+  net::append_message_frame(hello_frame, hello);
+  // While the stream is down one completion fits the send queue and the
+  // second parks; at reconnect the hello still fits behind the first.
+  net::TcpTransportConfig agent_tc;
+  agent_tc.max_send_queue_bytes = completion + hello_frame.size() + 8;
+  ASSERT_LT(agent_tc.max_send_queue_bytes, 2 * completion);
+  agent_tc.backoff_initial_seconds = 0.3;
+  agent_tc.backoff_jitter = 0.0;
+  net::TcpTransport manager_transport;
+  net::TcpTransport agent_transport(agent_tc);
+
+  MiniManager manager;
+  manager.pilot_id = pilot_id;
+  const std::string endpoint =
+      manager_transport.listen("127.0.0.1:0", manager.acceptor());
+  auto payloads = std::make_shared<PayloadTable>();
+  AgentEndpoint agent(agent_transport, endpoint, pilot_id, payloads);
+  ASSERT_TRUE(wait_for([&] { return manager.is_active(); }));
+
+  std::atomic<bool> release{false};
+  std::vector<net::WireUnitDescription> units;
+  for (int i = 0; i < 2; ++i) {
+    units.push_back(parked_work_unit(
+        *payloads, "unit-" + std::to_string(i) + "-" + id_tail, [&release] {
+          while (!release.load()) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          }
+        }));
+  }
+  manager.send_units(units);
+  ASSERT_TRUE(wait_for([&] { return held(agent) == 2; }));
+
+  // Drop the stream from the manager's side; the agent redials 300 ms
+  // later. Both completions happen while it is down.
+  manager.connection()->close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.store(true);
+  ASSERT_TRUE(wait_for([&] { return agent.scheduler_stats().parked == 1; },
+                       5.0));
+  EXPECT_EQ(agent.stats().reconnects, 0u);
+
+  ASSERT_TRUE(wait_for([&] { return manager.received().size() == 2; }, 10.0));
+  const std::vector<std::string> got = manager.received();
+  EXPECT_EQ(std::set<std::string>(got.begin(), got.end()).size(), 2u);
+  EXPECT_GE(agent.stats().reconnects, 1u);
+  EXPECT_GT(agent.stats().send_rejected, 0u);
+  EXPECT_EQ(agent.scheduler_stats().parked, 0u);
+  agent_transport.stop();
+  manager_transport.stop();
+}
+
+// The manager's credits are exact, so an agent whose queue capacity equals
+// the credit window never holds more units than that capacity, even when
+// the credits, not the service, are what limits dispatch.
+TEST(RemoteRuntime, AgentNeverHoldsMoreUnitsThanItsWindow) {
+  net::InProcTransport transport;
+  AgentFarm farm(transport);
+  std::unique_ptr<RemoteRuntime> runtime;
+  AgentEndpointConfig agent_config;
+  agent_config.queue_factor = 4;
+  RemoteRuntimeConfig config;
+  config.listen_endpoint = "inproc://manager";
+  config.dispatch_window_factor = 4;
+  config.launcher = [&](const std::string& pilot_id,
+                        const std::string& endpoint) {
+    farm.create(pilot_id, endpoint, runtime->payloads(), agent_config);
+  };
+  runtime = std::make_unique<RemoteRuntime>(transport, std::move(config));
+  std::atomic<bool> active{false};
+  core::PilotRuntimeCallbacks callbacks;
+  callbacks.on_active = [&active](const std::string&, int,
+                                  const std::string&) { active.store(true); };
+  runtime->start_pilot("pilot-0", remote_pilot(1), std::move(callbacks));
+  ASSERT_TRUE(wait_for([&] { return active.load(); }));
+
+  // Far more units than the window: the manager's credits gate them all.
+  constexpr int kUnits = 300;
+  std::atomic<int> done{0};
+  for (int i = 0; i < kUnits; ++i) {
+    ComputeUnitDescription d;
+    d.work = [] {};
+    runtime->execute_unit("pilot-0", d, "unit-" + std::to_string(i),
+                          [&done](bool ok) {
+                            if (ok) {
+                              done.fetch_add(1);
+                            }
+                          });
+  }
+  ASSERT_TRUE(wait_for([&] { return done.load() == kUnits; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(done.load(), kUnits);  // no duplicate completions
+
+  AgentEndpoint* agent = farm.agent("pilot-0");
+  ASSERT_NE(agent, nullptr);
+  const AgentEndpoint::SchedulerStats s = agent->scheduler_stats();
+  EXPECT_LE(s.held_hwm, 4u) << "agent held more than its 1 × 4 capacity";
+  EXPECT_GE(s.held_hwm, 2u) << "dispatch never pipelined";
+  EXPECT_EQ(s.window, 4);
   transport.stop();
 }
 

@@ -46,6 +46,17 @@ class LockOrderPass(unittest.TestCase):
         for f in findings:
             self.assertEqual(f.path, "src/w/widget.cpp")
 
+    def test_lock_held_across_connection_send_is_ranked(self):
+        # A conn->send counts as acquiring the kNetConnection mutex: a
+        # rank-14 lock may be held across it, a rank-95 lock may not.
+        findings = run_pass(lock_order, "lock_conn_send")
+        msgs = messages(findings)
+        self.assertEqual(len(findings), 1, msgs)
+        self.assertIn("inversion", findings[0].message)
+        self.assertIn("w::leaf", findings[0].message)
+        self.assertEqual((findings[0].path, findings[0].line),
+                         ("src/w/link.cpp", 12))
+
     def test_emitted_table_lists_every_rank(self):
         index = Index(FIXTURES / "lock_clean")
         table = lock_order.emit_lock_table(index)

@@ -19,6 +19,10 @@ then same file, then directly-included project headers, then a repo-wide
 unique rank; a genuinely ambiguous name is itself a finding, because a
 reader suffers the same ambiguity.
 
+A send on a connection (`conn->send(...)`, `conn_->send_gather(...)`)
+counts as acquiring the kNetConnection mutex: TcpConnection takes it to
+queue the frame, so a lock held across the send must rank below it.
+
 The pass also regenerates the DESIGN.md lock table from code (ranks from
 lock_rank.h, instances and observed nesting from the acquisition graph)
 and fails when the checked-in, marker-delimited block disagrees.
@@ -63,6 +67,9 @@ ACQ_RE = re.compile(
     r"([^;{}]+?)\s*[)}]\s*;"
 )
 RELOCK_RE = re.compile(r"\b(\w+)\s*\.\s*(un)?lock\s*\(\s*\)")
+# A frame handed to a connection: acquires the kNetConnection mutex.
+CONN_SEND_RE = re.compile(r"\bconn_?\s*->\s*send(?:_gather)?\s*\(")
+CONN_RANK = "NetConnection"
 
 # function-name -> required mutex exprs, harvested from declarations.
 REQUIRES_DECL_RE = re.compile(
@@ -195,6 +202,7 @@ class Resolver:
     """Maps an acquisition expression to a MutexDecl with class context."""
 
     def __init__(self, index: Index, decls: list[MutexDecl]):
+        self.decls = decls
         self.by_name: dict[str, list[MutexDecl]] = {}
         self.by_file: dict[str, list[MutexDecl]] = {}
         for d in decls:
@@ -263,6 +271,10 @@ def analyze_file(sf: SourceFile, resolver: Resolver,
 
     acq_at = {m.start(): m for m in ACQ_RE.finditer(code)}
     relock_at = {m.start(): m for m in RELOCK_RE.finditer(code)}
+    conn_decl = next((d for d in resolver.decls
+                      if d.rank_name == CONN_RANK), None)
+    send_at = ({m.start(): m for m in CONN_SEND_RE.finditer(code)}
+               if conn_decl is not None else {})
 
     # Method-definition spans give acquisitions their class context, and
     # annotated methods their entry-held locks.
@@ -354,6 +366,11 @@ def analyze_file(sf: SourceFile, resolver: Resolver,
     for pos, c in iter_code(code):
         if pos in acq_at:
             do_acquire(acq_at[pos])
+        elif pos in send_at:
+            line = line_of(code, pos)
+            for h in visible_held():
+                edges.append(Edge(h.decl, conn_decl, sf.rel, line))
+                check_edge(h, conn_decl, line)
         elif pos in relock_at:
             m = relock_at[pos]
             var, is_unlock = m.group(1), m.group(2) is not None
